@@ -89,7 +89,7 @@ uint64_t Journal::Emit(Event event) {
   event.unix_ms = NowUnixMillis();
   const uint64_t seq = event.seq;
   const int type = static_cast<int>(event.type);
-  pending_.push_back(std::move(event));
+  if (buffering_) pending_.push_back(std::move(event));
   total_.fetch_add(1, std::memory_order_relaxed);
   if (type >= 0 && type < kNumTypes) {
     type_counts_[type].fetch_add(1, std::memory_order_relaxed);
@@ -131,8 +131,14 @@ size_t Journal::pending() const {
   return pending_.size();
 }
 
+void Journal::SetBuffering(bool on) {
+  std::lock_guard<std::mutex> lock(mu_);
+  buffering_ = on;
+}
+
 void Journal::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
+  buffering_ = true;
   pending_.clear();
   next_seq_ = 1;
   total_.store(0, std::memory_order_relaxed);

@@ -65,7 +65,8 @@ std::string ToJsonLine(const Event& event);
 
 /// \brief Process-wide buffered journal.
 ///
-/// `Emit` appends to an in-memory pending buffer (bounded; overflow drops
+/// `Emit` appends to an in-memory pending buffer (once a consumer turns
+/// buffering on, see SetBuffering; bounded; overflow drops
 /// the new record and counts it) and `FlushTo` appends the buffered lines
 /// to a file and clears the buffer — so repeated flushes to the same path
 /// produce an append-only file with each record exactly once, in sequence
@@ -82,10 +83,18 @@ class Journal {
   /// Buffer cap; `Emit` beyond it drops the new record.
   static constexpr size_t kMaxPending = 65536;
 
-  /// Assigns `seq`/`unix_ms` and buffers the record. Returns the assigned
-  /// sequence number, or 0 when the record was dropped (buffer full or
-  /// journal lock contended during a crash flush).
+  /// Assigns `seq`/`unix_ms`, counts the record and, while buffering is
+  /// on, buffers it. Returns the assigned sequence number, or 0 when the
+  /// record was dropped (buffer full or journal lock contended during a
+  /// crash flush).
   uint64_t Emit(Event event);
+
+  /// Buffering is off until a consumer turns it on: the telemetry
+  /// Publisher does when it starts, since it flushes the buffer, and so
+  /// does ResetForTest. With it off, records are numbered and counted
+  /// (TypeCount still advances) but not kept, so a process that never
+  /// publishes telemetry does not hold every record it ever emitted.
+  void SetBuffering(bool on);
 
   /// Appends every pending record to `path` (fsync'd) and clears the
   /// buffer. A contended lock in crash-flush read mode skips silently
@@ -107,7 +116,8 @@ class Journal {
         std::memory_order_relaxed);
   }
 
-  /// Drops pending records and zeroes every counter (tests only).
+  /// Drops pending records, zeroes every counter and turns buffering on
+  /// (tests only).
   void ResetForTest();
 
  private:
@@ -116,6 +126,7 @@ class Journal {
   mutable std::mutex mu_;
   std::vector<Event> pending_;  // guarded by mu_
   uint64_t next_seq_ = 1;       // guarded by mu_; seq 0 means "dropped"
+  bool buffering_ = false;      // guarded by mu_
   std::atomic<uint64_t> total_{0};
   std::atomic<uint64_t> dropped_{0};
   std::atomic<uint64_t> type_counts_[kNumTypes] = {};

@@ -1,6 +1,7 @@
 #include "common/fileio.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <string.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -14,27 +15,42 @@ namespace fairgen {
 
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    return Status::IOError("cannot open for writing: " + tmp);
-  }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
-  bool ok = written == bytes.size() && std::fflush(file) == 0;
-  // fsync before rename: after a crash the file at `path` must be either
-  // the old content or the complete new content, never a hole the kernel
-  // had not flushed yet.
-  if (ok) ok = ::fsync(::fileno(file)) == 0;
-  ok = (std::fclose(file) == 0) && ok;
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    return Status::IOError("write failed: " + tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::IOError("rename failed: " + path + ": " +
+  if (!WriteFileAtomicSignalSafe(path.c_str(), tmp.c_str(), bytes.data(),
+                                 bytes.size())) {
+    return Status::IOError("atomic write failed: " + path + ": " +
                            ::strerror(errno));
   }
   return Status::OK();
+}
+
+bool WriteFileAtomicSignalSafe(const char* path, const char* tmp_path,
+                               const char* data, size_t size) {
+  const int fd =
+      ::open(tmp_path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) return false;
+  bool ok = true;
+  while (size > 0) {
+    const ssize_t n = ::write(fd, data, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ok = false;
+      break;
+    }
+    data += n;
+    size -= static_cast<size_t>(n);
+  }
+  // fsync before rename: after a crash the file at `path` must be either
+  // the old content or the complete new content, never a hole the kernel
+  // had not flushed yet.
+  if (ok) ok = ::fsync(fd) == 0;
+  ok = (::close(fd) == 0) && ok;
+  if (ok) ok = ::rename(tmp_path, path) == 0;
+  if (!ok) {
+    const int saved_errno = errno;  // for the caller's message
+    ::unlink(tmp_path);
+    errno = saved_errno;
+  }
+  return ok;
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

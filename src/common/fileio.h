@@ -19,6 +19,15 @@ namespace fairgen {
 /// (snapshot.json / metrics.prom) and the training checkpoints.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 
+/// \brief The write behind WriteFileAtomic, restricted to
+/// async-signal-safe calls (open/write/fsync/close/rename/unlink) so a
+/// signal handler can use it: no allocation, no stdio, no locks. The
+/// caller supplies the staging path (by convention `<path>.tmp`, built
+/// ahead of time). Returns false on any failure, with errno from the
+/// failing call, after removing the staging file.
+bool WriteFileAtomicSignalSafe(const char* path, const char* tmp_path,
+                               const char* data, size_t size);
+
 /// \brief Reads the whole file into a string (binary-exact).
 Result<std::string> ReadFileToString(const std::string& path);
 

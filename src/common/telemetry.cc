@@ -6,12 +6,14 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <fcntl.h>
 #include <sys/utsname.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 
@@ -369,6 +371,8 @@ Status Publisher::Init() {
   start_unix_ms_ = UnixMillis();
   stop_.store(false, std::memory_order_relaxed);
   sequence_.store(0, std::memory_order_relaxed);
+  // This publisher flushes the journal, so from here on it keeps records.
+  events::Journal::Global().SetBuffering(true);
   {
     events::Event event;
     event.type = events::Type::kConfig;
@@ -436,9 +440,9 @@ Status Publisher::WriteManifest(bool finalized, int exit_status,
 
 Status Publisher::WriteSnapshotFiles() {
   // Watchdog evaluation happens on the publisher tick, before mu_ is
-  // taken: a fatal rule raises SIGTERM on this thread, and the resulting
-  // CrashFlush deliberately skips mu_ — holding it here would be
-  // harmless, but not holding it keeps the lock ordering trivial.
+  // taken: a fatal rule raises SIGTERM on this thread, whose handler only
+  // wakes the flush thread; that CrashFlush then waits for mu_, so this
+  // tick's snapshot lands before the crash record.
   watchdog::Watchdog::Global().EvaluateTick();
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t seq = sequence_.fetch_add(1, std::memory_order_relaxed);
@@ -607,17 +611,26 @@ void Publisher::Stop(int exit_status) {
   }
 }
 
-void Publisher::CrashFlush(int exit_status) {
+void Publisher::CrashFlush(int exit_status, bool from_signal_handler) {
   if (run_dir_.empty()) return;
   if (crash_flushing_.exchange(true, std::memory_order_acq_rel)) return;
-  // Deliberately skips the snapshot mutex (the interrupted thread might
-  // hold it) — WriteFileAtomic's rename keeps even a racing periodic
-  // snapshot from tearing the file. The same hazard applies to the
-  // registry/series/tracer mutexes the exports read under (a FATAL check
-  // aborts while *holding* the registry lock), so the flush runs in
-  // best-effort read mode: contended sections come out empty instead of
-  // deadlocking the dying process.
-  metrics::SetBestEffortReads(true);
+  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  if (from_signal_handler) {
+    // Skips the snapshot mutex (the interrupted thread might hold it) —
+    // WriteFileAtomic's rename keeps even a racing periodic snapshot from
+    // tearing the file. The same hazard applies to the registry/series/
+    // tracer mutexes the exports read under (a FATAL check aborts while
+    // *holding* the registry lock), so the flush runs in best-effort read
+    // mode: contended sections come out empty instead of deadlocking the
+    // dying process.
+    metrics::SetBestEffortReads(true);
+  } else {
+    // Normal context: every lock holder runs on and releases. Holding the
+    // snapshot mutex and stopping the periodic loop makes this the last
+    // write into the run directory.
+    lock.lock();
+    stop_.store(true, std::memory_order_relaxed);
+  }
   const uint64_t seq = sequence_.fetch_add(1, std::memory_order_relaxed);
   WriteFileAtomic(run_dir_ + "/snapshot.json",
                   SnapshotJson(run_id_, seq, start_unix_ms_));
@@ -636,7 +649,7 @@ void Publisher::CrashFlush(int exit_status) {
     events::Journal::Global().FlushTo(run_dir_ + "/events.jsonl");
   }
   WriteManifest(true, exit_status, UnixMillis());
-  metrics::SetBestEffortReads(false);
+  if (from_signal_handler) metrics::SetBestEffortReads(false);
 }
 
 namespace {
@@ -674,31 +687,111 @@ void Publisher::StopGlobal(int exit_status) {
 namespace {
 
 void (*g_extra_flush)() = nullptr;
-volatile sig_atomic_t g_in_signal_flush = 0;
+// Who owns the end of the process. The first signal moves it from kIdle
+// to kFlushing and its flush ends the process; a normal exit moves it to
+// kExiting (EndSignalFlush) and ends the process with its own status.
+enum FlushState : int { kIdle, kFlushing, kExiting };
+std::atomic<int> g_flush_state{kIdle};
+// Set while the SIGABRT flush runs inside its handler.
+std::atomic<bool> g_flush_in_handler{false};
+// Self-pipe from the SIGINT/SIGTERM handler to the flush thread.
+int g_flush_pipe[2] = {-1, -1};
 
-void SignalFlushHandler(int sig) {
-  // Re-entrant delivery (e.g. a second SIGTERM while flushing): give up
-  // and die with the right status.
-  if (g_in_signal_flush) ::_exit(128 + sig);
-  g_in_signal_flush = 1;
+// Claims the end of the process for the flush of `sig`. Returns false
+// when the exit path already owns it (the signal is then ignored, and the
+// exit, already under way, keeps its own status). A signal that arrives
+// while a flush runs (e.g. a second SIGTERM) gives up and dies with the
+// right status.
+bool ClaimFlush(int sig) {
+  int state = kIdle;
+  if (g_flush_state.compare_exchange_strong(state, kFlushing)) return true;
+  if (state == kFlushing) ::_exit(128 + sig);
+  return false;
+}
+
+void RunFlush(int sig, bool from_signal_handler) {
   Publisher* publisher = Publisher::Get();
-  if (publisher != nullptr) publisher->CrashFlush(128 + sig);
+  if (publisher != nullptr) {
+    publisher->CrashFlush(128 + sig, from_signal_handler);
+  }
   if (g_extra_flush != nullptr) g_extra_flush();
-  // Restore the default disposition and re-raise so the wait status still
-  // reports death-by-signal.
+}
+
+// Restores the default disposition and re-raises so the wait status still
+// reports death-by-signal.
+void DieBySignal(int sig) {
   ::signal(sig, SIG_DFL);
+  sigset_t unblock;
+  sigemptyset(&unblock);
+  sigaddset(&unblock, sig);
+  ::pthread_sigmask(SIG_UNBLOCK, &unblock, nullptr);
   ::raise(sig);
+}
+
+// SIGABRT is synchronous: the aborting thread is already dying, so the
+// flush runs here, in best-effort mode. (Returning from it during a
+// normal exit lets abort() go on and kill the process.)
+void InlineFlushHandler(int sig) {
+  if (!ClaimFlush(sig)) return;
+  g_flush_in_handler.store(true);
+  RunFlush(sig, /*from_signal_handler=*/true);
+  DieBySignal(sig);
+}
+
+// SIGINT/SIGTERM may interrupt a thread inside malloc or holding any lock
+// the flush needs, so the handler only wakes the flush thread; the
+// interrupted thread runs on and releases what it holds.
+void DeferredFlushHandler(int sig) {
+  if (!ClaimFlush(sig)) return;
+  const int saved_errno = errno;
+  const unsigned char byte = static_cast<unsigned char>(sig);
+  while (::write(g_flush_pipe[1], &byte, 1) < 0 && errno == EINTR) {
+  }
+  errno = saved_errno;
+}
+
+void FlushThreadMain() {
+  unsigned char byte = 0;
+  ssize_t got;
+  do {
+    got = ::read(g_flush_pipe[0], &byte, 1);
+  } while (got < 0 && errno == EINTR);
+  if (got != 1) return;
+  RunFlush(byte, /*from_signal_handler=*/false);
+  DieBySignal(byte);
 }
 
 }  // namespace
 
+bool FlushingInSignalHandler() { return g_flush_in_handler.load(); }
+
+void EndSignalFlush() {
+  int state = kIdle;
+  if (g_flush_state.compare_exchange_strong(state, kExiting) ||
+      state == kExiting) {
+    return;
+  }
+  // A flush is running on another thread; it ends the process by
+  // re-raising its signal.
+  for (;;) ::pause();
+}
+
 void InstallSignalFlush(void (*extra_flush)()) {
   g_extra_flush = extra_flush;
+  static const bool at_exit_registered = std::atexit(EndSignalFlush) == 0;
+  (void)at_exit_registered;
+  if (g_flush_pipe[0] < 0 && ::pipe2(g_flush_pipe, O_CLOEXEC) == 0) {
+    std::thread(FlushThreadMain).detach();
+  }
+  const bool deferred = g_flush_pipe[0] >= 0;
   struct sigaction action;
   std::memset(&action, 0, sizeof(action));
-  action.sa_handler = SignalFlushHandler;
   sigemptyset(&action.sa_mask);
+  // The deferred handler returns, so interrupted system calls restart.
+  action.sa_flags = SA_RESTART;
   for (int sig : {SIGINT, SIGTERM, SIGABRT}) {
+    action.sa_handler = deferred && sig != SIGABRT ? DeferredFlushHandler
+                                                   : InlineFlushHandler;
     ::sigaction(sig, &action, nullptr);
   }
 }

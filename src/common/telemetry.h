@@ -128,12 +128,16 @@ class Publisher {
   /// Takes one snapshot immediately (snapshot.json + metrics.prom).
   Status SnapshotNow();
 
-  /// Best-effort flush for signal handlers: one last snapshot and a
-  /// finalized manifest recording `exit_status`, without joining threads.
-  /// Re-entrant calls return immediately. Not strictly async-signal-safe
-  /// (it allocates); if the crash interrupted malloc the previous periodic
-  /// snapshot already on disk is the crash record.
-  void CrashFlush(int exit_status);
+  /// Crash flush: one last snapshot and a finalized manifest recording
+  /// `exit_status`, without joining threads. Re-entrant calls return
+  /// immediately. With `from_signal_handler` (the SIGABRT path) it skips
+  /// the snapshot mutex and reads the registry best-effort; it is not
+  /// strictly async-signal-safe (it allocates), so if the crash
+  /// interrupted malloc the previous periodic snapshot already on disk is
+  /// the crash record. Otherwise (the deferred SIGINT/SIGTERM flush) it
+  /// takes the snapshot mutex and stops the periodic snapshots, so the
+  /// crash record is the last write.
+  void CrashFlush(int exit_status, bool from_signal_handler = true);
 
   const std::string& run_id() const { return run_id_; }
   const std::string& run_dir() const { return run_dir_; }
@@ -189,10 +193,30 @@ class Publisher {
 /// `128 + sig`, then `extra_flush` runs (the `--metrics-out`/`--trace-out`
 /// writers that otherwise only fire from `atexit`), and the default
 /// disposition is restored and the signal re-raised so the exit status
-/// still reports the kill. `extra_flush` may be null. Handlers allocate —
-/// this is deliberate best effort, with the publisher's periodic snapshot
-/// as the fallback crash record.
+/// still reports the kill. `extra_flush` may be null. SIGINT/SIGTERM can
+/// land on a thread inside malloc or holding a lock the flush needs, so
+/// their handler only writes to a self-pipe: a dedicated flush thread
+/// (started here) runs the flush in normal context while the interrupted
+/// thread runs on. SIGABRT is synchronous and flushes inside its handler —
+/// best effort, since the flush allocates, with the publisher's periodic
+/// snapshot as the fallback crash record. Also registers EndSignalFlush
+/// with `atexit`.
 void InstallSignalFlush(void (*extra_flush)());
+
+/// True while the flush runs inside a signal handler (the SIGABRT path),
+/// where `extra_flush` must not wait on a lock: the aborting thread may
+/// hold it.
+bool FlushingInSignalHandler();
+
+/// Marks the start of a normal exit. If a signal flush is already running,
+/// blocks until that flush ends the process, so its re-raised signal
+/// decides the exit status and nothing is torn down under it. Otherwise
+/// a SIGINT/SIGTERM that arrives from here on is ignored: the exit is
+/// under way and keeps its own status, matching the run manifest. A
+/// program calls it when its work is done, before writing its own final
+/// telemetry, so the exit path and a flush never run together; later
+/// calls return at once.
+void EndSignalFlush();
 
 }  // namespace telemetry
 }  // namespace fairgen

@@ -45,6 +45,9 @@ Status FairGenConfig::Validate() const {
     return Status::InvalidArgument(
         "embedding_dim must be positive and divisible by num_heads");
   }
+  if (generator_batch == 0) {
+    return Status::InvalidArgument("generator_batch must be positive");
+  }
   if (generator_lr <= 0.0f || discriminator_lr <= 0.0f) {
     return Status::InvalidArgument("learning rates must be positive");
   }

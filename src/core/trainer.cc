@@ -20,8 +20,10 @@
 #include "generators/walk_lm.h"
 #include "nn/serialize.h"
 #include "graph/subgraph.h"
+#include "nn/data_parallel.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "nn/transformer.h"
 #include "stats/discrepancy.h"
 #include "walk/node2vec_walk.h"
 #include "walk/random_walk.h"
@@ -52,6 +54,13 @@ bool GuardFiniteLoss(double value, const char* component, double* sum) {
   counter.Increment();
   return false;
 }
+
+// Gradient shards per generator minibatch (nn/data_parallel.h). The
+// shard count fixes the order in which the per-walk gradients are
+// summed, so it is part of the training trajectory; the thread count is
+// not. Two shards match the benchmark's two threads. Each shard after
+// the first costs one model replica and a gradient fold per batch.
+constexpr uint32_t kGeneratorGradShards = 2;
 
 }  // namespace
 
@@ -108,50 +117,68 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
   // The optimizer persists across cycles (created in Prepare) so its
   // Adam moments are part of the resumable training state.
   nn::Adam& optim = *gen_optim_;
+  // Shard s > 0 trains on a replica of the generator that lives only
+  // while the generator trains, so it never adds to the memory of the
+  // other stages or of a fitted model. Replica values are overwritten
+  // from the master before every batch, so their initialization draws
+  // from a local stream, never `rng`.
+  Rng init_rng(0);
+  std::vector<std::unique_ptr<nn::TransformerLM>> replicas;
+  std::vector<std::vector<nn::Var>> replica_params;
+  for (uint32_t s = 1; s < kGeneratorGradShards; ++s) {
+    replicas.push_back(std::make_unique<nn::TransformerLM>(
+        model_->generator().config(), init_rng));
+    replica_params.push_back(replicas.back()->Parameters());
+  }
+  nn::DataParallelGrads grads(optim.params(), std::move(replica_params));
 
   double loss_sum = 0.0;
   uint64_t loss_count = 0;
+  std::vector<std::pair<bool, const Walk*>> items;
+  std::vector<double> batch_losses;
   for (uint32_t epoch = 0; epoch < config_.generator_epochs; ++epoch) {
-    std::vector<std::pair<bool, uint32_t>> order = dataset_.EpochOrder(rng);
-    optim.ZeroGrad();
-    uint32_t in_batch = 0;
-    for (const auto& [is_positive, idx] : order) {
+    // Walks too short to score take no place in a batch.
+    items.clear();
+    for (const auto& [is_positive, idx] : dataset_.EpochOrder(rng)) {
       const Walk& walk = is_positive ? dataset_.positives()[idx]
                                      : dataset_.negatives()[idx];
-      if (walk.size() < 2) continue;
-      nn::Var loss;
-      if (is_positive) {
-        loss = model_->generator().WalkNll(walk);
-      } else {
-        std::vector<uint32_t> prefix(walk.begin(), walk.end() - 1);
-        std::vector<uint32_t> targets(walk.begin() + 1, walk.end());
-        loss = nn::NegativeWalkPenalty(model_->generator().Logits(prefix),
-                                       targets, floor_logprob);
-      }
-      nn::Backward(loss);
-      double value = loss->value.ScalarValue();
-      if (inject_nan_batches_ > 0) {
-        // Fault injection (FAIRGEN_INJECT_NAN_LOSS): poison the *recorded*
-        // batch value only — gradients are untouched, so the training
-        // trajectory stays deterministic while the guard path below is
-        // exercised end to end.
-        value = std::numeric_limits<double>::quiet_NaN();
-        --inject_nan_batches_;
-      }
-      if (GuardFiniteLoss(value, "generator", &loss_sum)) ++loss_count;
-      if (++in_batch == config_.generator_batch) {
-        for (const nn::Var& p : optim.params()) {
-          p->grad.Scale(1.0f / static_cast<float>(in_batch));
-        }
-        optim.ClipGradNorm(config_.grad_clip);
-        optim.Step();
-        optim.ZeroGrad();
-        in_batch = 0;
-      }
+      if (walk.size() >= 2) items.emplace_back(is_positive, &walk);
     }
-    if (in_batch > 0) {
+    for (size_t begin = 0; begin < items.size();
+         begin += config_.generator_batch) {
+      const size_t size = std::min<size_t>(config_.generator_batch,
+                                           items.size() - begin);
+      batch_losses.assign(size, 0.0);
+      grads.Accumulate(
+          size, config_.num_threads, [&](size_t shard, size_t i) {
+            const nn::TransformerLM& lm =
+                shard == 0 ? model_->generator() : *replicas[shard - 1];
+            const auto& [is_positive, walk] = items[begin + i];
+            nn::Var loss;
+            if (is_positive) {
+              loss = lm.WalkNll(*walk);
+            } else {
+              std::vector<uint32_t> prefix(walk->begin(), walk->end() - 1);
+              std::vector<uint32_t> targets(walk->begin() + 1, walk->end());
+              loss = nn::NegativeWalkPenalty(lm.Logits(prefix), targets,
+                                             floor_logprob);
+            }
+            nn::Backward(loss);
+            batch_losses[i] = loss->value.ScalarValue();
+          });
+      for (double value : batch_losses) {
+        if (inject_nan_batches_ > 0) {
+          // Fault injection (FAIRGEN_INJECT_NAN_LOSS): poison the
+          // *recorded* walk value only — gradients are untouched, so the
+          // training trajectory stays deterministic while the guard path
+          // below is exercised end to end.
+          value = std::numeric_limits<double>::quiet_NaN();
+          --inject_nan_batches_;
+        }
+        if (GuardFiniteLoss(value, "generator", &loss_sum)) ++loss_count;
+      }
       for (const nn::Var& p : optim.params()) {
-        p->grad.Scale(1.0f / static_cast<float>(in_batch));
+        p->grad.Scale(1.0f / static_cast<float>(size));
       }
       optim.ClipGradNorm(config_.grad_clip);
       optim.Step();
@@ -309,7 +336,10 @@ Status FairGenTrainer::Prepare(const Graph& graph, Rng& rng) {
                                           config_.generator_lr);
   disc_optim_ = std::make_unique<nn::Adam>(model_->DiscriminatorParameters(),
                                            config_.discriminator_lr);
-  pending_slot_.store(-1, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    pending_ = PendingCheckpoint();
+  }
   return Status::OK();
 }
 
@@ -381,15 +411,15 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
     FairGenLosses losses;
 
     // Steps 4–11 as a per-cycle dependency DAG on the shared pool
-    // (core/pipeline): walk sampling for the next cycle (step 5) runs
-    // concurrently with the generator update (step 4), and the negative
-    // refresh (step 6) concurrently with the self-paced label update
-    // (steps 7–8). The port edges serialize every read/write pair on
-    // shared trainer state — the walk dataset (read by the generator
-    // update, mutated by dataset_update), the sampler's label vectors
-    // (read by sample_walks, mutated by self_paced), and the shared
-    // embedding table (read by negatives/self_paced, mutated by the
-    // discriminator step). Each stage draws from its own SplitRngs
+    // (core/pipeline): the generator update (step 4) runs alone in its
+    // wave, so its data-parallel minibatches get the whole pool, and the
+    // negative refresh (step 6) runs concurrently with the self-paced
+    // label update (steps 7–8). The port edges serialize every read/write
+    // pair on shared trainer state — the walk dataset (read by the
+    // generator update, mutated by dataset_update), the sampler's label
+    // vectors (read by sample_walks, mutated by self_paced), and the
+    // shared embedding table (read by negatives/self_paced, mutated by
+    // the discriminator step). Each stage draws from its own SplitRngs
     // stream (derived from `rng` in stage-insertion order), so the
     // trajectory is bitwise independent of the thread count, and `rng`
     // advances a fixed number of draws per cycle, so FGCKPT2 resume
@@ -412,11 +442,14 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
            ctx.Push(1, true);
            return pipeline::StepResult::kDone;
          }}));
-    // Step 4: update g_θ from N+ and N−.
+    // Step 4: update g_θ from N+ and N−. Ordered after sample_walks only
+    // to keep it alone in its wave: a lone stage runs on the calling
+    // thread outside any parallel region, where the minibatch shards can
+    // use the pool (a pool call nested in a busy wave runs serially).
     FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
         {"generator",
          trace::Category::kTrain,
-         {},
+         {"sampler_idle"},
          {"generator_ready"},
          [&](pipeline::StageContext& ctx)
              -> Result<pipeline::StepResult> {
@@ -1142,44 +1175,56 @@ Result<bool> FairGenTrainer::TryResume(const std::string& dir,
 void FairGenTrainer::UpdatePendingCheckpoint(const std::string& dir,
                                              uint32_t next_cycle,
                                              float lambda, const Rng& rng) {
-  const int slot =
-      pending_slot_.load(std::memory_order_acquire) == 0 ? 1 : 0;
-  pending_[slot].path = dir + "/" + CheckpointFileName(next_cycle);
-  pending_[slot].blob = SerializeTrainingCheckpoint(next_cycle, lambda, rng);
-  pending_[slot].cycle = next_cycle;
-  pending_slot_.store(slot, std::memory_order_release);
+  PendingCheckpoint next;
+  next.path = dir + "/" + CheckpointFileName(next_cycle);
+  next.tmp_path = next.path + ".tmp";
+  next.blob = SerializeTrainingCheckpoint(next_cycle, lambda, rng);
+  next.cycle = next_cycle;
+  std::lock_guard<std::mutex> lock(pending_mu_);
+  std::swap(pending_, next);
 }
 
 Status FairGenTrainer::WritePendingCheckpoint() {
-  const int slot = pending_slot_.load(std::memory_order_acquire);
-  if (slot < 0) return Status::OK();
-  const PendingCheckpoint& pending = pending_[slot];
-  FAIRGEN_RETURN_NOT_OK(WriteFileAtomic(pending.path, pending.blob));
+  std::string path;
+  size_t bytes = 0;
+  uint32_t cycle = 0;
+  {
+    std::lock_guard<std::mutex> lock(pending_mu_);
+    if (pending_.path.empty()) return Status::OK();
+    FAIRGEN_RETURN_NOT_OK(WriteFileAtomic(pending_.path, pending_.blob));
+    path = pending_.path;
+    bytes = pending_.blob.size();
+    cycle = pending_.cycle;
+  }
   RotateCheckpoints(config_.checkpoint.dir, config_.checkpoint.retain);
   metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
   registry.GetCounter("checkpoint.writes").Increment();
-  registry.GetCounter("checkpoint.bytes").Increment(pending.blob.size());
-  registry.GetGauge("checkpoint.last_epoch")
-      .Set(static_cast<double>(pending.cycle));
+  registry.GetCounter("checkpoint.bytes").Increment(bytes);
+  registry.GetGauge("checkpoint.last_epoch").Set(static_cast<double>(cycle));
   events::Event event;
   event.type = events::Type::kCheckpoint;
   event.name = "write";
-  event.message = pending.path;
-  event.epoch = static_cast<double>(pending.cycle);
-  event.fields = {{"bytes", static_cast<double>(pending.blob.size())}};
+  event.message = path;
+  event.epoch = static_cast<double>(cycle);
+  event.fields = {{"bytes", static_cast<double>(bytes)}};
   events::Journal::Global().Emit(std::move(event));
   return Status::OK();
 }
 
-void FairGenTrainer::WriteEmergencyCheckpoint() {
-  const int slot = pending_slot_.load(std::memory_order_acquire);
-  if (slot < 0) return;
+void FairGenTrainer::WriteEmergencyCheckpoint(bool wait_for_lock) {
+  std::unique_lock<std::mutex> lock(pending_mu_, std::defer_lock);
+  if (wait_for_lock) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
+    return;
+  }
+  if (pending_.path.empty()) return;
   // Best-effort: called on the signal path, where there is nobody left
-  // to consume a Status. The atomic write contract still holds, so a
-  // failure here can at worst leave a stale .tmp file behind.
-  const Status status =
-      WriteFileAtomic(pending_[slot].path, pending_[slot].blob);
-  (void)status;
+  // to consume a result, and possibly over a thread interrupted inside
+  // malloc — hence the allocation-free write. The atomic write contract
+  // still holds, so a failure here leaves the previous file intact.
+  WriteFileAtomicSignalSafe(pending_.path.c_str(), pending_.tmp_path.c_str(),
+                            pending_.blob.data(), pending_.blob.size());
 }
 
 Result<Graph> FairGenTrainer::Generate(Rng& rng) {

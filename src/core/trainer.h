@@ -1,8 +1,8 @@
 #ifndef FAIRGEN_CORE_TRAINER_H_
 #define FAIRGEN_CORE_TRAINER_H_
 
-#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -86,9 +86,14 @@ class FairGenTrainer : public GraphGenerator {
   /// Writes the most recent pending training checkpoint (captured at the
   /// last completed self-paced cycle boundary) to its file. Installed as
   /// the CLI's signal flush so SIGINT/SIGTERM persist progress; safe to
-  /// call from any thread at any time — a no-op when nothing is pending.
+  /// call from any thread while training runs on. It waits for the
+  /// training loop's checkpoint lock, unless `wait_for_lock` is false:
+  /// then it gives up when the lock is held, which is what a signal
+  /// handler must do (the interrupted thread may hold it). The write
+  /// itself is async-signal-safe (WriteFileAtomicSignalSafe on buffers
+  /// built at the cycle boundary). A no-op when nothing is pending.
   /// Never throws; failures are swallowed (best-effort crash path).
-  void WriteEmergencyCheckpoint();
+  void WriteEmergencyCheckpoint(bool wait_for_lock = true);
 
   /// Generates synthetic walks from g_θ and assembles them under the
   /// fairness criteria of Sec. II-D.
@@ -176,8 +181,10 @@ class FairGenTrainer : public GraphGenerator {
   Status WritePendingCheckpoint();
 
   /// One generator-training pass over the current N+/N− pools; returns the
-  /// mean generator loss. Non-finite batch values are skipped from the
-  /// mean and counted in `trainer.nonfinite_batches`.
+  /// mean generator loss. Each minibatch is split into a fixed number of
+  /// gradient shards that run on the pool (nn/data_parallel.h).
+  /// Non-finite walk loss values are skipped from the mean and counted in
+  /// `trainer.nonfinite_batches`.
   double TrainGenerator(Rng& rng);
 
   /// In-training fairness probe (`--probe-every`): held-out-walk
@@ -229,18 +236,21 @@ class FairGenTrainer : public GraphGenerator {
   std::unique_ptr<nn::Adam> gen_optim_;
   std::unique_ptr<nn::Adam> disc_optim_;
 
-  // Emergency-checkpoint double buffer. The training loop serializes the
-  // state at every completed cycle boundary into the slot NOT currently
-  // published, then publishes it with a release store; the signal path
-  // reads the published slot only, so it never observes a half-built
-  // blob even if the signal lands mid-serialization.
+  // The state at the last completed cycle boundary, serialized there
+  // together with its staging path, so the emergency write allocates
+  // nothing. An empty path means nothing is pending. `pending_mu_` guards
+  // it: the training loop serializes outside the lock and swaps the new
+  // checkpoint in under it, and both file writes (the cadence write and
+  // the emergency write) hold it, so they never share the staging file
+  // and the emergency write never reads a blob that is being replaced.
   struct PendingCheckpoint {
     std::string path;
+    std::string tmp_path;
     std::string blob;
     uint32_t cycle = 0;
   };
-  PendingCheckpoint pending_[2];
-  std::atomic<int> pending_slot_{-1};
+  std::mutex pending_mu_;
+  PendingCheckpoint pending_;
 };
 
 }  // namespace fairgen

@@ -180,6 +180,11 @@ void Scale(float* a, float alpha, size_t len) {
   Table().scale(a, alpha, len);
 }
 
+void AdamUpdate(float* value, const float* grad, float* m, float* v,
+                size_t len, const AdamStepParams& params) {
+  Table().adam_update(value, grad, m, v, len, params);
+}
+
 double SoftmaxNllForward(const float* logits, size_t rows, size_t cols,
                          const uint32_t* targets, float* probs) {
   // Sequential reductions + libm transcendentals: kept scalar in both

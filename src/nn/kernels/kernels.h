@@ -79,6 +79,26 @@ void AddScaled(float* a, const float* b, float alpha, size_t len);
 /// a[i] *= alpha.
 void Scale(float* a, float alpha, size_t len);
 
+/// Hyperparameters of one Adam step (see nn::Adam). `bias1`/`bias2` are
+/// the bias corrections 1 − β1^t and 1 − β2^t of the current step t.
+struct AdamStepParams {
+  float lr;
+  float beta1;
+  float beta2;
+  float eps;
+  float weight_decay;
+  float bias1;
+  float bias2;
+};
+
+/// One Adam step over `len` elements. With g = grad[i]:
+///   m[i] = β1·m[i] + (1 − β1)·g,   v[i] = β2·v[i] + (1 − β2)·g·g,
+///   value[i] −= lr · ((m[i]/bias1) / (√(v[i]/bias2) + eps) + wd·value[i]).
+/// Every operation is a correctly rounded IEEE float op (the square root
+/// included), so the vector lanes reproduce the scalar bits.
+void AdamUpdate(float* value, const float* grad, float* m, float* v,
+                size_t len, const AdamStepParams& params);
+
 /// Fused softmax + negative log-likelihood forward over [rows, cols]
 /// logits: writes the row-wise softmax into `probs` (same shape) and
 /// returns Σ_r (logZ_r − logits[r, targets[r]]), i.e. the *total* NLL
@@ -111,6 +131,8 @@ struct KernelTable {
   void (*scale)(float*, float, size_t);
   void (*softmax_nll_backward)(const float*, const uint32_t*, const uint8_t*,
                                float, size_t, size_t, float*);
+  void (*adam_update)(float*, const float*, float*, float*, size_t,
+                      const AdamStepParams&);
 };
 
 const KernelTable& ScalarTable();

@@ -22,6 +22,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -170,12 +171,58 @@ void SoftmaxNllBackwardAvx2(const float* probs, const uint32_t* targets,
   }
 }
 
+// Lane-wise replay of AdamUpdateScalar: the same mul/add/div/sqrt
+// sequence, each correctly rounded, so every element matches scalar.
+void AdamUpdateAvx2(float* value, const float* grad, float* m, float* v,
+                    size_t len, const AdamStepParams& p) {
+  const __m256 beta1 = _mm256_set1_ps(p.beta1);
+  const __m256 one_minus_beta1 = _mm256_set1_ps(1.0f - p.beta1);
+  const __m256 beta2 = _mm256_set1_ps(p.beta2);
+  const __m256 one_minus_beta2 = _mm256_set1_ps(1.0f - p.beta2);
+  const __m256 bias1 = _mm256_set1_ps(p.bias1);
+  const __m256 bias2 = _mm256_set1_ps(p.bias2);
+  const __m256 eps = _mm256_set1_ps(p.eps);
+  const __m256 lr = _mm256_set1_ps(p.lr);
+  const __m256 decay = _mm256_set1_ps(p.weight_decay);
+  size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const __m256 g = _mm256_loadu_ps(grad + i);
+    const __m256 mi =
+        _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + i)),
+                      _mm256_mul_ps(one_minus_beta1, g));
+    const __m256 vi = _mm256_add_ps(
+        _mm256_mul_ps(beta2, _mm256_loadu_ps(v + i)),
+        _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, g), g));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 update =
+        _mm256_div_ps(_mm256_div_ps(mi, bias1),
+                      _mm256_add_ps(_mm256_sqrt_ps(_mm256_div_ps(vi, bias2)),
+                                    eps));
+    const __m256 x = _mm256_loadu_ps(value + i);
+    _mm256_storeu_ps(
+        value + i,
+        _mm256_sub_ps(x, _mm256_mul_ps(lr, _mm256_add_ps(
+                                               update,
+                                               _mm256_mul_ps(decay, x)))));
+  }
+  for (; i < len; ++i) {
+    const float g = grad[i];
+    m[i] = p.beta1 * m[i] + (1.0f - p.beta1) * g;
+    v[i] = p.beta2 * v[i] + (1.0f - p.beta2) * g * g;
+    const float update =
+        (m[i] / p.bias1) / (std::sqrt(v[i] / p.bias2) + p.eps);
+    value[i] -= p.lr * (update + p.weight_decay * value[i]);
+  }
+}
+
 }  // namespace
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
       &MatMulAvx2, &MatMulTransAAvx2,        &AddAvx2,
       &AddScaledAvx2, &ScaleAvx2, &SoftmaxNllBackwardAvx2,
+      &AdamUpdateAvx2,
   };
   return table;
 }

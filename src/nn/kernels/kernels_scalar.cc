@@ -11,6 +11,7 @@
 // tests/nn/kernels_test.cc arbitrate.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -89,12 +90,27 @@ void SoftmaxNllBackwardScalar(const float* probs, const uint32_t* targets,
   }
 }
 
+void AdamUpdateScalar(float* value, const float* grad, float* m, float* v,
+                      size_t len, const AdamStepParams& p) {
+  for (size_t i = 0; i < len; ++i) {
+    const float g = grad[i];
+    m[i] = p.beta1 * m[i] + (1.0f - p.beta1) * g;
+    v[i] = p.beta2 * v[i] + (1.0f - p.beta2) * g * g;
+    const float mhat = m[i] / p.bias1;
+    const float vhat = v[i] / p.bias2;
+    const float update = mhat / (std::sqrt(vhat) + p.eps);
+    // Decoupled weight decay (AdamW).
+    value[i] -= p.lr * (update + p.weight_decay * value[i]);
+  }
+}
+
 }  // namespace
 
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
       &MatMulScalar,         &MatMulTransAScalar,    &AddScalarImpl,
       &AddScaledScalarImpl,  &ScaleScalarImpl,       &SoftmaxNllBackwardScalar,
+      &AdamUpdateScalar,
   };
   return table;
 }

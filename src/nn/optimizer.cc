@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/kernels/kernels.h"
 
 namespace fairgen::nn {
 
@@ -128,23 +129,18 @@ Status Adam::LoadState(const OptimizerState& state) {
 
 void Adam::Step() {
   ++t_;
-  float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  kernels::AdamStepParams step;
+  step.lr = lr_;
+  step.beta1 = beta1_;
+  step.beta2 = beta2_;
+  step.eps = eps_;
+  step.weight_decay = weight_decay_;  // decoupled (AdamW)
+  step.bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
+  step.bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
     Node& p = *params_[i];
-    for (size_t j = 0; j < p.value.size(); ++j) {
-      float g = p.grad.data()[j];
-      float& m = m_[i].data()[j];
-      float& v = v_[i].data()[j];
-      m = beta1_ * m + (1.0f - beta1_) * g;
-      v = beta2_ * v + (1.0f - beta2_) * g * g;
-      float mhat = m / bias1;
-      float vhat = v / bias2;
-      float update = mhat / (std::sqrt(vhat) + eps_);
-      // Decoupled weight decay (AdamW).
-      p.value.data()[j] -=
-          lr_ * (update + weight_decay_ * p.value.data()[j]);
-    }
+    kernels::AdamUpdate(p.value.data(), p.grad.data(), m_[i].data(),
+                        v_[i].data(), p.value.size(), step);
   }
 }
 

@@ -58,9 +58,11 @@ TEST_F(BenchAttrSmokeTest, AttrOutEmitsSchemaCompleteAttributionJson) {
   // profiler sampling. Self-comparison keeps the run fast and makes no
   // assumption about which rows regress — the schema must hold either
   // way (status is "ok" or "REGRESSED" per row, "new" never appears in a
-  // self-compare).
+  // self-compare). Scenarios take tens of microseconds here, so medians
+  // over five repetitions keep one repetition stalled by a parallel test
+  // from tripping the gate.
   std::string base_cmd = std::string(FAIRGEN_BENCH_PIPELINE_PATH) +
-                         " --scale=0.01 --repetitions=1 --warmup=0"
+                         " --scale=0.01 --repetitions=5 --warmup=0"
                          " --seed=7 --scenarios=walk_sampling,assembly ";
   std::string baseline = TempPath("baseline.json");
   ASSERT_EQ(RunCommand(base_cmd + "--out=" + baseline +

@@ -52,9 +52,11 @@ class BenchPipelineSmokeTest : public testing::Test {
 
   std::string BenchCommand(const std::string& extra_flags,
                            const std::string& scenarios =
-                               "walk_sampling,assembly") {
+                               "walk_sampling,assembly",
+                           int repetitions = 1) {
     std::string cmd = std::string(FAIRGEN_BENCH_PIPELINE_PATH) +
-                      " --scale=0.01 --repetitions=1 --warmup=0 --seed=7 ";
+                      " --scale=0.01 --repetitions=" +
+                      std::to_string(repetitions) + " --warmup=0 --seed=7 ";
     if (!scenarios.empty()) cmd += "--scenarios=" + scenarios + " ";
     return cmd + extra_flags + " > /dev/null 2>&1";
   }
@@ -110,15 +112,24 @@ TEST_F(BenchPipelineSmokeTest, EmitsSchemaCompleteResultJson) {
 }
 
 TEST_F(BenchPipelineSmokeTest, SelfCompareIsNotARegression) {
+  // At this scale a scenario runs in tens of microseconds, so one
+  // repetition that loses the CPU to a parallel test is a 100x outlier;
+  // medians over five repetitions keep a single stall from deciding the
+  // verdict on either side.
+  constexpr int kRepetitions = 5;
+  const std::string scenarios = "walk_sampling,assembly";
   std::string baseline_path = TempPath("baseline.json");
-  ASSERT_EQ(RunCommand(BenchCommand("--out=" + baseline_path)), 0);
+  ASSERT_EQ(RunCommand(BenchCommand("--out=" + baseline_path, scenarios,
+                                    kRepetitions)),
+            0);
   std::string out_path = TempPath("candidate.json");
   // Same workload against its own recorded numbers: wall-time jitter is
   // real, so give the gate a generous threshold; the point is the exit
   // code plumbing, not timing stability on a loaded CI box.
   EXPECT_EQ(RunCommand(BenchCommand("--out=" + out_path + " --compare=" +
-                                    baseline_path +
-                                    " --regress-threshold=100.0")),
+                                        baseline_path +
+                                        " --regress-threshold=100.0",
+                                    scenarios, kRepetitions)),
             0);
 }
 

@@ -1,5 +1,6 @@
 #include "common/events.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,9 +26,13 @@ class JournalTest : public ::testing::Test {
   void SetUp() override { Journal::Global().ResetForTest(); }
   void TearDown() override { Journal::Global().ResetForTest(); }
 
+  // Cleared first: the journal appends, so a file left by an earlier
+  // process with the same pid would leak into this test's records.
   std::string TempPath(const std::string& name) {
-    return testing::TempDir() + "/fairgen_events_" + name + "_" +
-           std::to_string(::getpid()) + ".jsonl";
+    std::string path = testing::TempDir() + "/fairgen_events_" + name +
+                       "_" + std::to_string(::getpid()) + ".jsonl";
+    std::filesystem::remove_all(path);
+    return path;
   }
 };
 

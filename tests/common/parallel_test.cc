@@ -80,6 +80,26 @@ TEST(ParallelForTest, NestedCallsRunInline) {
   }
 }
 
+TEST(ThreadPoolTest, SingleTaskRunsOutsideAnyParallelRegion) {
+  // A lone task runs inline on the caller without entering a parallel
+  // region, so a pool call it makes still fans out instead of running
+  // serially (the trainer keeps its generator stage alone in its DAG wave
+  // for this reason).
+  bool outer_in_region = true;
+  std::atomic<size_t> nested_in_region{0};
+  ThreadPool::Global().Run(1, 4, [&](size_t) {
+    outer_in_region = InParallelRegion();
+    ParallelFor(
+        size_t{0}, size_t{8}, 1,
+        [&](size_t) {
+          if (InParallelRegion()) ++nested_in_region;
+        },
+        4);
+  });
+  EXPECT_FALSE(outer_in_region);
+  EXPECT_EQ(nested_in_region.load(), 8u);
+}
+
 TEST(ParallelReduceTest, EmptyRangeReturnsIdentity) {
   double r = ParallelReduce(
       size_t{4}, size_t{4}, 8, 42.0,

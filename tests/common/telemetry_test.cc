@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -171,9 +172,13 @@ class PublisherTest : public ::testing::Test {
   // Pid-unique parent so reruns never collide with stale run dirs in the
   // persistent temp directory (explicit run ids get `-N` suffixed on
   // collision, which would break the ExplicitRunIdIsHonored assertion).
+  // Cleared first: runs left by an earlier process with the same pid
+  // would collide with this test's run ids.
   std::string MakeParentDir(const std::string& tag) {
-    return testing::TempDir() + "/fairgen_telemetry_" + tag + "_" +
-           std::to_string(::getpid());
+    std::string dir = testing::TempDir() + "/fairgen_telemetry_" + tag +
+                      "_" + std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    return dir;
   }
 };
 

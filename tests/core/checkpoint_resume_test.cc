@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,6 +79,8 @@ Status FitSeeded(FairGenTrainer& trainer, const Graph& graph,
 std::string UniqueDir(const char* name) {
   std::string dir = testing::TempDir() + "/fairgen_resume_" +
                     std::to_string(::getpid()) + "_" + name;
+  // An earlier process with the same pid may have left checkpoints here.
+  std::filesystem::remove_all(dir);
   EXPECT_TRUE(MakeDirectories(dir).ok());
   return dir;
 }

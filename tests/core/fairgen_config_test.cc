@@ -61,6 +61,12 @@ TEST(FairGenConfigTest, RejectsBadRates) {
   EXPECT_FALSE(cfg.Validate().ok());
 }
 
+TEST(FairGenConfigTest, RejectsEmptyGeneratorBatches) {
+  FairGenConfig cfg;
+  cfg.generator_batch = 0;
+  EXPECT_TRUE(cfg.Validate().IsInvalidArgument());
+}
+
 TEST(FairGenVariantTest, NamesMatchPaper) {
   EXPECT_EQ(FairGenVariantName(FairGenVariant::kFull), "FairGen");
   EXPECT_EQ(FairGenVariantName(FairGenVariant::kRandom), "FairGen-R");

@@ -9,6 +9,7 @@
 // FAIRGEN_CLI_PATH compile definition.
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -47,8 +48,11 @@ class CliFlagsTest : public testing::Test {
     out_path_ = TempPath("out.txt");
   }
 
+  // Per-process names: ctest -j runs these tests as concurrent processes,
+  // which must not share input or stderr files.
   std::string TempPath(const std::string& suffix) {
-    std::string path = testing::TempDir() + "/fairgen_cli_flags_" + suffix;
+    std::string path = testing::TempDir() + "/fairgen_cli_flags_" +
+                       std::to_string(::getpid()) + "_" + suffix;
     paths_.push_back(path);
     return path;
   }

@@ -131,6 +131,39 @@ TEST(DeterminismTest, FairGenEdgeScoresAreThreadCountInvariant) {
   });
 }
 
+// The generator minibatches are sharded across the pool, and the shard
+// replicas are reused from cycle to cycle; with an odd batch size every
+// batch splits raggedly. The model must still be the same at every
+// thread count.
+TEST(DeterminismTest, FairGenShardedTrainingIsThreadCountInvariant) {
+  Rng data_rng(6);
+  SyntheticGraphConfig cfg;
+  cfg.num_nodes = 40;
+  cfg.num_edges = 160;
+  cfg.num_classes = 2;
+  auto data = GenerateSynthetic(cfg, data_rng);
+  ASSERT_TRUE(data.ok());
+
+  ExpectSameAcrossThreadCounts([&](uint32_t threads) {
+    FairGenConfig fairgen;
+    fairgen.num_walks = 40;
+    fairgen.self_paced_cycles = 2;
+    fairgen.generator_epochs = 1;
+    fairgen.generator_batch = 7;
+    fairgen.gen_transition_multiplier = 2.0;
+    fairgen.embedding_dim = 16;
+    fairgen.ffn_dim = 32;
+    fairgen.num_threads = threads;
+    FairGenTrainer trainer(fairgen);
+    Rng fit_rng(19);
+    EXPECT_TRUE(trainer.Fit(data->graph, fit_rng).ok());
+    Rng score_rng(20);
+    auto scored = trainer.ScoreEdges(score_rng);
+    EXPECT_TRUE(scored.ok());
+    return SortedScores(*std::move(scored));
+  });
+}
+
 TEST(DeterminismTest, MmdIsThreadCountInvariant) {
   Graph a = TestGraph(21, 300, 1200);
   Graph b = TestGraph(22, 300, 1500);

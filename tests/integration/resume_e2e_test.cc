@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fileio.h"
+#include "common/json.h"
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
@@ -32,9 +34,14 @@ namespace {
 
 class ResumeE2eTest : public testing::Test {
  protected:
+  // Clears whatever an earlier process with the same pid left at the
+  // path: a stale checkpoint directory would end the kill wait at once
+  // and hand the resume checkpoints from another run.
   std::string TempPath(const std::string& suffix) {
-    return testing::TempDir() + "/fairgen_resume_e2e_" +
-           std::to_string(::getpid()) + "_" + suffix;
+    std::string path = testing::TempDir() + "/fairgen_resume_e2e_" +
+                       std::to_string(::getpid()) + "_" + suffix;
+    std::filesystem::remove_all(path);
+    return path;
   }
 
   // Seeded demo inputs (edges, few-shot labels, protected set).
@@ -97,10 +104,11 @@ class ResumeE2eTest : public testing::Test {
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   }
 
-  // Forks the CLI, waits for the first checkpoint file to appear under
-  // `ckpt_dir`, then SIGTERMs it. Returns the child's wait status.
+  // Forks the CLI, waits for a checkpoint of cycle `kill_cycle` or later
+  // to appear under `ckpt_dir`, then SIGTERMs it. Returns the child's wait
+  // status.
   int RunAndKill(const std::vector<std::string>& args,
-                 const std::string& ckpt_dir) {
+                 const std::string& ckpt_dir, uint32_t kill_cycle = 1) {
     std::vector<std::string> argv_strings = args;
     pid_t pid = ::fork();
     EXPECT_GE(pid, 0);
@@ -114,13 +122,14 @@ class ResumeE2eTest : public testing::Test {
       ::execv(argv[0], argv.data());
       ::_exit(127);
     }
-    // Kill as soon as the first cycle checkpoint lands, so cycles remain
-    // to be replayed. If the child finishes first the wait status shows
-    // a clean exit and the caller skips the resume leg.
+    // Kill as soon as that checkpoint lands. If the child finishes first
+    // the wait status shows a clean exit and the caller skips the resume
+    // leg.
     int wait_status = 0;
     bool reaped = false;
     for (int i = 0; i < 3000; ++i) {
-      if (!ListCheckpoints(ckpt_dir).empty()) break;
+      std::vector<CheckpointFile> files = ListCheckpoints(ckpt_dir);
+      if (!files.empty() && files.back().cycle >= kill_cycle) break;
       if (::waitpid(pid, &wait_status, WNOHANG) == pid) {
         reaped = true;
         break;
@@ -197,6 +206,65 @@ TEST_F(ResumeE2eTest, KilledRunResumesBitIdenticalTwoThreads) {
 
 TEST_F(ResumeE2eTest, KilledRunResumesBitIdenticalFourThreads) {
   CheckResumeEquivalence(4);
+}
+
+// SIGTERM while the last training cycle runs: the emergency checkpoint
+// write races the trainer's final checkpoint write, and the flush races
+// the end of the run. Every checkpoint left behind must parse, the run
+// manifest's exit status must match how the process really ended, and a
+// resume must still reproduce the uninterrupted run.
+TEST_F(ResumeE2eTest, KillDuringLastCycleLeavesConsistentRecord) {
+  const std::string edges = TempPath("last_edges.txt");
+  const std::string labels = TempPath("last_labels.txt");
+  const std::string protected_path = TempPath("last_protected.txt");
+  WriteInputs(edges, labels, protected_path);
+  const std::string ref_out = TempPath("last_ref_out.txt");
+  const std::string ref_model = TempPath("last_ref_model.fgckpt");
+  ASSERT_EQ(RunToCompletion(BaseArgs(edges, labels, protected_path, ref_out,
+                                     ref_model, TempPath("last_ref_ckpt"),
+                                     2)),
+            0);
+
+  const std::string out = TempPath("last_out.txt");
+  const std::string model = TempPath("last_model.fgckpt");
+  const std::string dir = TempPath("last_ckpt");
+  const std::string telemetry_dir = TempPath("last_telemetry");
+  std::vector<std::string> args =
+      BaseArgs(edges, labels, protected_path, out, model, dir, 2);
+  args.push_back("--telemetry-dir=" + telemetry_dir);
+  // BaseArgs runs 5 cycles; the checkpoint before cycle 4 (0-based)
+  // lands as the last one starts.
+  const int wait_status = RunAndKill(args, dir, /*kill_cycle=*/4);
+
+  for (const CheckpointFile& file : ListCheckpoints(dir)) {
+    EXPECT_TRUE(CheckpointReader::ReadFile(file.path).ok())
+        << "torn checkpoint " << file.path;
+  }
+  std::vector<std::string> runs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(telemetry_dir)) {
+    if (std::filesystem::exists(entry.path() / "run.json")) {
+      runs.push_back(entry.path().string());
+    }
+  }
+  ASSERT_EQ(runs.size(), 1u);
+  auto manifest = json::ParseFile(runs[0] + "/run.json");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_TRUE(manifest->Find("finalized")->AsBool());
+  if (WIFSIGNALED(wait_status)) {
+    EXPECT_EQ(WTERMSIG(wait_status), SIGTERM);
+    EXPECT_EQ(manifest->GetDouble("exit_status", -1), 128.0 + SIGTERM);
+    args.push_back("--resume");
+    ASSERT_EQ(RunToCompletion(args), 0);
+  } else {
+    ASSERT_TRUE(WIFEXITED(wait_status));
+    EXPECT_EQ(WEXITSTATUS(wait_status), 0);
+    EXPECT_EQ(manifest->GetDouble("exit_status", -1), 0.0);
+  }
+  EXPECT_EQ(ReadFileOrDie(model), ReadFileOrDie(ref_model))
+      << "resumed model diverged from the uninterrupted run";
+  EXPECT_EQ(ReadFileOrDie(out), ReadFileOrDie(ref_out))
+      << "resumed generation diverged from the uninterrupted run";
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <dirent.h>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -65,9 +66,12 @@ std::vector<std::string> RunDirs(const std::string& parent) {
 
 class TelemetryE2eTest : public testing::Test {
  protected:
+  // Clears whatever an earlier process with the same pid left at the
+  // path, so a stale run directory is never mistaken for this run's.
   std::string TempPath(const std::string& suffix) {
     std::string path = testing::TempDir() + "/fairgen_tele_e2e_" +
                        std::to_string(::getpid()) + "_" + suffix;
+    std::filesystem::remove_all(path);
     return path;
   }
 

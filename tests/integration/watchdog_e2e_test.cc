@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <dirent.h>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -80,9 +81,14 @@ std::vector<std::pair<std::string, std::string>> AlertRecords(
 
 class WatchdogE2eTest : public testing::Test {
  protected:
+  // Clears whatever an earlier process with the same pid left at the
+  // path, so a stale run or checkpoint directory is never mistaken for
+  // this run's.
   std::string TempPath(const std::string& suffix) {
-    return testing::TempDir() + "/fairgen_wd_e2e_" +
-           std::to_string(::getpid()) + "_" + suffix;
+    std::string path = testing::TempDir() + "/fairgen_wd_e2e_" +
+                       std::to_string(::getpid()) + "_" + suffix;
+    std::filesystem::remove_all(path);
+    return path;
   }
 
   // Seeded demo inputs (edges, few-shot labels, protected set).

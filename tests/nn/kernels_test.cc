@@ -174,9 +174,68 @@ TEST_F(KernelParityTest, SoftmaxNllBitwise) {
   }
 }
 
+// Adam hyperparameters at step t = 3 with weight decay, so every term of
+// the update is exercised.
+AdamStepParams TestAdamParams() {
+  AdamStepParams p;
+  p.lr = 3e-3f;
+  p.beta1 = 0.9f;
+  p.beta2 = 0.999f;
+  p.eps = 1e-8f;
+  p.weight_decay = 0.01f;
+  p.bias1 = 1.0f - 0.9f * 0.9f * 0.9f;
+  p.bias2 = 1.0f - 0.999f * 0.999f * 0.999f;
+  return p;
+}
+
+TEST_F(KernelParityTest, AdamUpdateBitwise) {
+  Rng rng(106);
+  const AdamStepParams params = TestAdamParams();
+  for (size_t len : {1u, 7u, 8u, 9u, 31u, 1000u}) {
+    std::vector<float> value = RandomVector(len, rng);
+    std::vector<float> grad = RandomVector(len, rng);
+    SprinkleZeros(grad, rng);
+    std::vector<float> m = RandomVector(len, rng);
+    std::vector<float> v = RandomVector(len, rng);
+    for (float& x : v) x = x * x;  // second moments are non-negative
+    std::vector<float> value2 = value, m2 = m, v2 = v;
+    internal::ScalarTable().adam_update(value.data(), grad.data(), m.data(),
+                                        v.data(), len, params);
+    internal::Avx2Table().adam_update(value2.data(), grad.data(), m2.data(),
+                                      v2.data(), len, params);
+    EXPECT_TRUE(BitwiseEqual(value, value2)) << "value len=" << len;
+    EXPECT_TRUE(BitwiseEqual(m, m2)) << "m len=" << len;
+    EXPECT_TRUE(BitwiseEqual(v, v2)) << "v len=" << len;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Reference semantics (backend-independent)
 // --------------------------------------------------------------------------
+
+TEST(KernelSemanticsTest, AdamUpdateMatchesTheAdamWFormula) {
+  Rng rng(107);
+  const AdamStepParams p = TestAdamParams();
+  const size_t len = 37;
+  std::vector<float> value = RandomVector(len, rng);
+  std::vector<float> grad = RandomVector(len, rng);
+  std::vector<float> m = RandomVector(len, rng);
+  std::vector<float> v(len, 0.25f);
+  std::vector<float> expected = value;
+  std::vector<float> m_ref = m, v_ref = v;
+  for (size_t i = 0; i < len; ++i) {
+    m_ref[i] = p.beta1 * m_ref[i] + (1.0f - p.beta1) * grad[i];
+    v_ref[i] = p.beta2 * v_ref[i] + (1.0f - p.beta2) * grad[i] * grad[i];
+    const float update =
+        (m_ref[i] / p.bias1) / (std::sqrt(v_ref[i] / p.bias2) + p.eps);
+    expected[i] -= p.lr * (update + p.weight_decay * expected[i]);
+  }
+  internal::ScalarTable().adam_update(value.data(), grad.data(), m.data(),
+                                      v.data(), len, p);
+  EXPECT_TRUE(BitwiseEqual(value, expected));
+  EXPECT_TRUE(BitwiseEqual(m, m_ref));
+  EXPECT_TRUE(BitwiseEqual(v, v_ref));
+}
 
 TEST(KernelSemanticsTest, MatMulMatchesNaiveTripleLoop) {
   Rng rng(7);

@@ -19,12 +19,12 @@
 //   --epochs=<n>         generator epochs per cycle (default 2)
 
 #include <any>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -427,16 +427,21 @@ Status RunStats(const Options& opts) {
 }
 
 // The live FairGen trainer while a fit/generate is in flight, so
-// SIGINT/SIGTERM can persist the latest completed-cycle checkpoint.
-std::atomic<FairGenTrainer*> g_signal_trainer{nullptr};
+// SIGINT/SIGTERM can persist the latest completed-cycle checkpoint. The
+// flush holds `g_signal_trainer_mu` while it writes, which keeps the
+// trainer alive until the write is done.
+std::mutex g_signal_trainer_mu;
+FairGenTrainer* g_signal_trainer = nullptr;
 
 // Publishes/clears the signal-visible trainer for the enclosing scope.
 struct SignalTrainerScope {
   explicit SignalTrainerScope(FairGenTrainer* trainer) {
-    g_signal_trainer.store(trainer, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(g_signal_trainer_mu);
+    g_signal_trainer = trainer;
   }
   ~SignalTrainerScope() {
-    g_signal_trainer.store(nullptr, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(g_signal_trainer_mu);
+    g_signal_trainer = nullptr;
   }
 };
 
@@ -699,11 +704,25 @@ Status WriteTelemetry(const Options& opts) {
 // appear on a normal return from Main.
 void SignalExtraFlush() {
   // The training checkpoint first: it is the state the user would lose.
-  if (FairGenTrainer* trainer =
-          g_signal_trainer.load(std::memory_order_acquire)) {
-    trainer->WriteEmergencyCheckpoint();
+  // Inside the SIGABRT handler a lock may be held by the aborting thread
+  // itself, so there the write is skipped rather than waited for.
+  const bool wait = !telemetry::FlushingInSignalHandler();
+  std::unique_lock<std::mutex> lock(g_signal_trainer_mu, std::defer_lock);
+  if (wait) {
+    lock.lock();
+  } else {
+    lock.try_lock();
   }
-  if (g_signal_opts != nullptr) WriteTelemetry(*g_signal_opts);
+  if (lock.owns_lock() && g_signal_trainer != nullptr) {
+    g_signal_trainer->WriteEmergencyCheckpoint(/*wait_for_lock=*/wait);
+  }
+  // On SIGABRT this runs inside the signal handler, where the export
+  // path (it allocates and takes locks) can deadlock on the aborting
+  // thread; only take that risk when there is an output file to save.
+  if (g_signal_opts != nullptr && (!g_signal_opts->metrics_out_path.empty() ||
+                                   !g_signal_opts->trace_out_path.empty())) {
+    WriteTelemetry(*g_signal_opts);
+  }
 }
 
 // Starts the live-telemetry publisher when --telemetry-dir was given.
@@ -729,7 +748,7 @@ Status StartTelemetry(const Options& opts, int argc, char** argv) {
     wd.enabled = true;
     wd.rss_budget_mb = opts.rss_budget_mb;
     // With checkpointing on, hold fatal rules until at least one cycle
-    // has completed so the emergency double-buffer is primed and the
+    // has completed so an emergency checkpoint is pending and the
     // SIGTERM path leaves a valid FGCKPT2 file behind.
     wd.fatal_arm_cycles = opts.checkpoint_dir.empty() ? 0 : 1;
     watchdog::Watchdog::Global().Configure(wd);
@@ -806,6 +825,10 @@ int Main(int argc, char** argv) {
   } else {
     return Usage();
   }
+  // A signal flush that started while the command ran ends the process
+  // here; a signal that comes later is ignored, so nothing races these
+  // final writes and the manifest's exit status is the process's.
+  telemetry::EndSignalFlush();
   Status telemetry_status = WriteTelemetry(*opts);
   if (!telemetry_status.ok()) {
     std::fprintf(stderr, "error: %s\n", telemetry_status.ToString().c_str());
