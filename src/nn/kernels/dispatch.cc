@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cctype>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -187,28 +186,7 @@ void AdamUpdate(float* value, const float* grad, float* m, float* v,
 
 double SoftmaxNllForward(const float* logits, size_t rows, size_t cols,
                          const uint32_t* targets, float* probs) {
-  // Sequential reductions + libm transcendentals: kept scalar in both
-  // backends so the loss is backend-invariant by construction.
-  double total = 0.0;
-  for (size_t r = 0; r < rows; ++r) {
-    const float* row = logits + r * cols;
-    float* prow = probs + r * cols;
-    float max_v = row[0];
-    for (size_t j = 1; j < cols; ++j) max_v = std::max(max_v, row[j]);
-    double sum = 0.0;
-    for (size_t j = 0; j < cols; ++j) {
-      const double e = std::exp(static_cast<double>(row[j]) - max_v);
-      prow[j] = static_cast<float>(e);
-      sum += e;
-    }
-    const double inv = 1.0 / sum;
-    for (size_t j = 0; j < cols; ++j) {
-      prow[j] = static_cast<float>(prow[j] * inv);
-    }
-    const double log_z = std::log(sum) + max_v;
-    total += log_z - static_cast<double>(row[targets[r]]);
-  }
-  return total;
+  return Table().softmax_nll_forward(logits, rows, cols, targets, probs);
 }
 
 void SoftmaxNllBackward(const float* probs, const uint32_t* targets,
@@ -216,6 +194,11 @@ void SoftmaxNllBackward(const float* probs, const uint32_t* targets,
                         size_t cols, float* dlogits) {
   Table().softmax_nll_backward(probs, targets, row_mask, gscale, rows, cols,
                                dlogits);
+}
+
+void SoftmaxWeights(const float* logits, size_t n, float temperature,
+                    double* weights) {
+  Table().softmax_weights(logits, n, temperature, weights);
 }
 
 }  // namespace fairgen::nn::kernels

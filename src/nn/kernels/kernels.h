@@ -14,12 +14,13 @@ namespace fairgen::nn::kernels {
 ///
 /// Bitwise contract: both backends produce identical bits. Every
 /// accumulation visits the reduction dimension in the same order per
-/// output element, and the AVX2 path uses separate multiply and add
-/// (FMA contraction is disabled for the vector TU), so each lane performs
-/// exactly the scalar operation sequence. This is what lets the
-/// determinism suite certify vectorized builds without a numeric-
-/// tolerance mode; the kernel-vs-reference tests pin the backends to
-/// 0 ULP.
+/// output element (the row reductions of the softmax kernels keep eight
+/// lane partials, which the scalar backend replays), and both backends
+/// use separate multiply and add (FMA contraction is disabled for both
+/// kernel TUs), so each lane performs exactly the scalar operation
+/// sequence. This is what lets the determinism suite certify vectorized
+/// builds without a numeric-tolerance mode; the kernel-vs-reference tests
+/// pin the backends to 0 ULP.
 ///
 /// Alignment: tensor storage is 64-byte aligned (see nn/tensor.h), which
 /// keeps rows cache-line-friendly; the kernels themselves use unaligned
@@ -102,11 +103,23 @@ void AdamUpdate(float* value, const float* grad, float* m, float* v,
 /// Fused softmax + negative log-likelihood forward over [rows, cols]
 /// logits: writes the row-wise softmax into `probs` (same shape) and
 /// returns Σ_r (logZ_r − logits[r, targets[r]]), i.e. the *total* NLL
-/// (callers divide by rows for the mean). The transcendentals
-/// (exp/log) are scalar libm calls in both backends, so the result is
-/// backend-invariant.
+/// (callers divide by rows for the mean). Per row: the max m over eight
+/// lane maxima, e_j = exp(logits[r, j] − m) by the float polynomial of
+/// exp_poly.h (≤ 1 ULP; the row max gives exactly 1, −inf exactly 0),
+/// Σ e_j in eight double lane partials folded in one fixed order,
+/// probs = float(e_j / Σ) via a double reciprocal, and one libm `log`.
+/// Both backends run that sequence, so their bits match. A NaN logit
+/// makes the total NaN.
 double SoftmaxNllForward(const float* logits, size_t rows, size_t cols,
                          const uint32_t* targets, float* probs);
+
+/// Unnormalised sampling weights of one logits row:
+/// weights[j] = exp((logits[j] − m) / temperature) with m the row max,
+/// by the same max reduction and exp polynomial as `SoftmaxNllForward`.
+/// The row max gets exactly 1 and a −inf logit exactly 0; a NaN logit
+/// gives a NaN weight. `temperature` must be positive.
+void SoftmaxWeights(const float* logits, size_t n, float temperature,
+                    double* weights);
 
 /// Backward of the fused op: dlogits[r,j] += gscale · (probs[r,j] −
 /// 1{j == targets[r]}) for every row r in [0, rows) with row_mask[r]
@@ -129,8 +142,11 @@ struct KernelTable {
   void (*add)(float*, const float*, size_t);
   void (*add_scaled)(float*, const float*, float, size_t);
   void (*scale)(float*, float, size_t);
+  double (*softmax_nll_forward)(const float*, size_t, size_t, const uint32_t*,
+                                float*);
   void (*softmax_nll_backward)(const float*, const uint32_t*, const uint8_t*,
                                float, size_t, size_t, float*);
+  void (*softmax_weights)(const float*, size_t, float, double*);
   void (*adam_update)(float*, const float*, float*, float*, size_t,
                       const AdamStepParams&);
 };

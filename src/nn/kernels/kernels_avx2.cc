@@ -26,6 +26,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "nn/kernels/exp_poly.h"
+
 namespace fairgen::nn::kernels::internal {
 namespace {
 
@@ -160,6 +162,119 @@ void ScaleAvx2(float* a, float alpha, size_t len) {
   for (; i < len; ++i) a[i] *= alpha;
 }
 
+// ExpPoly (exp_poly.h) on eight lanes: the same op sequence per lane.
+// _mm256_max_ps(lo, x) returns x when x is NaN, matching MaxLane(lo, x);
+// the ordered x < lo compare is false for NaN, so NaN stays NaN.
+inline __m256 ExpPoly8(__m256 x) {
+  const __m256 lo = _mm256_set1_ps(kExpLo);
+  const __m256 magic = _mm256_set1_ps(kRoundMagic);
+  const __m256 xc = _mm256_max_ps(lo, x);
+  const __m256 t =
+      _mm256_add_ps(_mm256_mul_ps(xc, _mm256_set1_ps(kLog2e)), magic);
+  const __m256 n = _mm256_sub_ps(t, magic);
+  __m256 r = _mm256_sub_ps(xc, _mm256_mul_ps(n, _mm256_set1_ps(kLn2Hi)));
+  r = _mm256_sub_ps(r, _mm256_mul_ps(n, _mm256_set1_ps(kLn2Lo)));
+  __m256 p = _mm256_set1_ps(kExpP0);
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP1));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP2));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP3));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP4));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP5));
+  const __m256 y = _mm256_add_ps(
+      _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+      _mm256_set1_ps(1.0f));
+  const __m256i scale_bits = _mm256_slli_epi32(
+      _mm256_sub_epi32(_mm256_castps_si256(t),
+                       _mm256_set1_epi32(static_cast<int>(kScaleBiasBits))),
+      23);
+  const __m256 out = _mm256_mul_ps(y, _mm256_castsi256_ps(scale_bits));
+  return _mm256_andnot_ps(_mm256_cmp_ps(x, lo, _CMP_LT_OQ), out);
+}
+
+// RowMaxScalar's lane maxima, one vector at a time; the tail continues
+// the same lanes before the shared fold.
+float RowMaxAvx2(const float* row, size_t n) {
+  __m256 acc = _mm256_set1_ps(-INFINITY);
+  size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    acc = _mm256_max_ps(acc, _mm256_loadu_ps(row + j));
+  }
+  alignas(32) float lanes[kLanes] = {};
+  _mm256_store_ps(lanes, acc);
+  for (; j < n; ++j) lanes[j % kLanes] = MaxLane(lanes[j % kLanes], row[j]);
+  return FoldMax(lanes);
+}
+
+// Widens the eight floats of v into two four-double vectors (lanes 0–3
+// and 4–7).
+inline void WidenToDouble(__m256 v, __m256d* lo, __m256d* hi) {
+  *lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+  *hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+}
+
+double SoftmaxNllForwardAvx2(const float* logits, size_t rows, size_t cols,
+                             const uint32_t* targets, float* probs) {
+  double total = 0.0;
+  for (size_t r = 0; r < rows; ++r) {
+    const float* row = logits + r * cols;
+    float* prow = probs + r * cols;
+    const float max_v = RowMaxAvx2(row, cols);
+    const __m256 vmax = _mm256_set1_ps(max_v);
+    __m256d sum_lo = _mm256_setzero_pd();
+    __m256d sum_hi = _mm256_setzero_pd();
+    size_t j = 0;
+    for (; j + kLanes <= cols; j += kLanes) {
+      const __m256 e = ExpPoly8(_mm256_sub_ps(_mm256_loadu_ps(row + j), vmax));
+      _mm256_storeu_ps(prow + j, e);
+      __m256d e_lo, e_hi;
+      WidenToDouble(e, &e_lo, &e_hi);
+      sum_lo = _mm256_add_pd(sum_lo, e_lo);
+      sum_hi = _mm256_add_pd(sum_hi, e_hi);
+    }
+    alignas(32) double sums[kLanes] = {};
+    _mm256_store_pd(sums, sum_lo);
+    _mm256_store_pd(sums + 4, sum_hi);
+    for (; j < cols; ++j) {
+      prow[j] = ExpPoly(row[j] - max_v);
+      sums[j % kLanes] += prow[j];
+    }
+    const double sum = FoldSum(sums);
+    const double inv = 1.0 / sum;
+    const __m256d vinv = _mm256_set1_pd(inv);
+    j = 0;
+    for (; j + kLanes <= cols; j += kLanes) {
+      __m256d p_lo, p_hi;
+      WidenToDouble(_mm256_loadu_ps(prow + j), &p_lo, &p_hi);
+      _mm256_storeu_ps(
+          prow + j,
+          _mm256_set_m128(_mm256_cvtpd_ps(_mm256_mul_pd(p_hi, vinv)),
+                          _mm256_cvtpd_ps(_mm256_mul_pd(p_lo, vinv))));
+    }
+    for (; j < cols; ++j) prow[j] = static_cast<float>(prow[j] * inv);
+    total += (std::log(sum) + max_v) - static_cast<double>(row[targets[r]]);
+  }
+  return total;
+}
+
+void SoftmaxWeightsAvx2(const float* logits, size_t n, float temperature,
+                        double* weights) {
+  const float max_v = RowMaxAvx2(logits, n);
+  const __m256 vmax = _mm256_set1_ps(max_v);
+  const __m256 vtemp = _mm256_set1_ps(temperature);
+  size_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    const __m256 e = ExpPoly8(_mm256_div_ps(
+        _mm256_sub_ps(_mm256_loadu_ps(logits + j), vmax), vtemp));
+    __m256d e_lo, e_hi;
+    WidenToDouble(e, &e_lo, &e_hi);
+    _mm256_storeu_pd(weights + j, e_lo);
+    _mm256_storeu_pd(weights + j + 4, e_hi);
+  }
+  for (; j < n; ++j) {
+    weights[j] = ExpPoly((logits[j] - max_v) / temperature);
+  }
+}
+
 void SoftmaxNllBackwardAvx2(const float* probs, const uint32_t* targets,
                             const uint8_t* row_mask, float gscale,
                             size_t rows, size_t cols, float* dlogits) {
@@ -220,8 +335,14 @@ void AdamUpdateAvx2(float* value, const float* grad, float* m, float* v,
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {
-      &MatMulAvx2, &MatMulTransAAvx2,        &AddAvx2,
-      &AddScaledAvx2, &ScaleAvx2, &SoftmaxNllBackwardAvx2,
+      &MatMulAvx2,
+      &MatMulTransAAvx2,
+      &AddAvx2,
+      &AddScaledAvx2,
+      &ScaleAvx2,
+      &SoftmaxNllForwardAvx2,
+      &SoftmaxNllBackwardAvx2,
+      &SoftmaxWeightsAvx2,
       &AdamUpdateAvx2,
   };
   return table;

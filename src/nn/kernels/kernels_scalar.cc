@@ -7,6 +7,9 @@
 // *nesting* may differ — this file panels columns for cache locality
 // while kernels_avx2.cc register-blocks the accumulators — because
 // regrouping which outputs are updated together has no numeric effect.
+// The softmax kernels reduce along a row instead; they keep one partial
+// per AVX2 lane and fold the eight in a fixed order (exp_poly.h), so the
+// scalar loops below replay the vector reduction exactly.
 // Change the per-element sequence in one file, change both, and let
 // tests/nn/kernels_test.cc arbitrate.
 
@@ -15,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "nn/kernels/exp_poly.h"
 #include "nn/kernels/kernels.h"
 
 namespace fairgen::nn::kernels::internal {
@@ -78,6 +82,47 @@ void ScaleScalarImpl(float* a, float alpha, size_t len) {
   for (size_t i = 0; i < len; ++i) a[i] *= alpha;
 }
 
+// Row max as eight lane maxima (element j to lane j % 8, each lane
+// starting at −inf) folded by FoldMax: the AVX2 reduction, lane by lane.
+float RowMaxScalar(const float* row, size_t n) {
+  float lanes[kLanes];
+  std::fill(lanes, lanes + kLanes, -INFINITY);
+  for (size_t j = 0; j < n; ++j) {
+    lanes[j % kLanes] = MaxLane(lanes[j % kLanes], row[j]);
+  }
+  return FoldMax(lanes);
+}
+
+double SoftmaxNllForwardScalar(const float* logits, size_t rows, size_t cols,
+                               const uint32_t* targets, float* probs) {
+  double total = 0.0;
+  for (size_t r = 0; r < rows; ++r) {
+    const float* row = logits + r * cols;
+    float* prow = probs + r * cols;
+    const float max_v = RowMaxScalar(row, cols);
+    double sums[kLanes] = {};
+    for (size_t j = 0; j < cols; ++j) {
+      prow[j] = ExpPoly(row[j] - max_v);
+      sums[j % kLanes] += prow[j];
+    }
+    const double sum = FoldSum(sums);
+    const double inv = 1.0 / sum;
+    for (size_t j = 0; j < cols; ++j) {
+      prow[j] = static_cast<float>(prow[j] * inv);
+    }
+    total += (std::log(sum) + max_v) - static_cast<double>(row[targets[r]]);
+  }
+  return total;
+}
+
+void SoftmaxWeightsScalar(const float* logits, size_t n, float temperature,
+                          double* weights) {
+  const float max_v = RowMaxScalar(logits, n);
+  for (size_t j = 0; j < n; ++j) {
+    weights[j] = ExpPoly((logits[j] - max_v) / temperature);
+  }
+}
+
 void SoftmaxNllBackwardScalar(const float* probs, const uint32_t* targets,
                               const uint8_t* row_mask, float gscale,
                               size_t rows, size_t cols, float* dlogits) {
@@ -108,8 +153,14 @@ void AdamUpdateScalar(float* value, const float* grad, float* m, float* v,
 
 const KernelTable& ScalarTable() {
   static const KernelTable table = {
-      &MatMulScalar,         &MatMulTransAScalar,    &AddScalarImpl,
-      &AddScaledScalarImpl,  &ScaleScalarImpl,       &SoftmaxNllBackwardScalar,
+      &MatMulScalar,
+      &MatMulTransAScalar,
+      &AddScalarImpl,
+      &AddScaledScalarImpl,
+      &ScaleScalarImpl,
+      &SoftmaxNllForwardScalar,
+      &SoftmaxNllBackwardScalar,
+      &SoftmaxWeightsScalar,
       &AdamUpdateScalar,
   };
   return table;

@@ -112,19 +112,16 @@ Var HiddenStates(const Embedding& tok, const Embedding& pos,
 
 // Temperature-scaled categorical draw from a [vocab] logits row. Shared
 // by SampleNext and the KV-cache SampleWalk so the two paths consume the
-// rng stream identically. exp(row - max) keeps the max weight at 1, but
-// NaN logits can still poison the total; SampleDiscrete then degrades to
-// a uniform in-range pick, so the result is always a valid token.
+// rng stream identically. kernels::SoftmaxWeights gives the row max a
+// weight of exactly 1 and a −inf logit exactly 0, but a NaN logit still
+// poisons the total; SampleDiscrete then degrades to a uniform in-range
+// pick, so the result is always a valid token. The weights live in a
+// per-thread buffer reused across tokens.
 uint32_t SampleFromLogitsRow(const float* row, size_t vocab, Rng& rng,
                              float temperature) {
-  float max_val = row[0];
-  for (size_t i = 1; i < vocab; ++i) {
-    max_val = std::max(max_val, row[i]);
-  }
-  std::vector<double> weights(vocab);
-  for (size_t i = 0; i < vocab; ++i) {
-    weights[i] = std::exp((row[i] - max_val) / temperature);
-  }
+  static thread_local std::vector<double> weights;
+  weights.resize(vocab);
+  kernels::SoftmaxWeights(row, vocab, temperature, weights.data());
   uint32_t pick = SampleDiscrete(weights, rng);
   FAIRGEN_CHECK(pick < vocab);
   return pick;

@@ -6,12 +6,16 @@
 
 #include "nn/kernels/kernels.h"
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/kernels/exp_poly.h"
 #include "rng/rng.h"
 
 namespace fairgen::nn::kernels {
@@ -131,45 +135,193 @@ TEST_F(KernelParityTest, ElementwiseBitwise) {
 
 TEST_F(KernelParityTest, SoftmaxNllBitwise) {
   Rng rng(105);
-  for (size_t rows : {1u, 3u, 9u}) {
-    for (size_t cols : {2u, 8u, 33u}) {
+  // Widths around the 8-lane vector (tails of 1 and 7, a single lane
+  // group), plus the paper-scale vocabularies: ACM at scale 0.05 (824)
+  // and a ragged larger one.
+  for (size_t rows : {1u, 9u}) {
+    for (size_t cols : {1u, 7u, 8u, 9u, 33u, 824u, 1136u}) {
       std::vector<float> logits = RandomVector(rows * cols, rng);
+      // Spread the logits so rows exercise the polynomial's whole range
+      // and the underflow clamp, not just exp on [−4, 0].
+      for (float& x : logits) x *= 30.0f;
       std::vector<uint32_t> targets(rows);
       std::vector<uint8_t> mask(rows);
       for (size_t r = 0; r < rows; ++r) {
         targets[r] = rng.UniformU32(static_cast<uint32_t>(cols));
         mask[r] = static_cast<uint8_t>(rng.UniformU32(2));
       }
-      // Forward is a single scalar implementation: identical under both
-      // forced backends by construction, so just pin that the dispatch
-      // override does not perturb it.
-      std::vector<float> probs_a(rows * cols), probs_b(rows * cols);
-      Backend prev = SetBackendForTesting(Backend::kScalar);
-      double nll_a = SoftmaxNllForward(logits.data(), rows, cols,
-                                       targets.data(), probs_a.data());
-      SetBackendForTesting(Backend::kAvx2);
-      double nll_b = SoftmaxNllForward(logits.data(), rows, cols,
-                                       targets.data(), probs_b.data());
-      SetBackendForTesting(prev);
-      EXPECT_EQ(nll_a, nll_b);
-      EXPECT_TRUE(BitwiseEqual(probs_a, probs_b));
+      std::vector<float> probs_scalar(rows * cols), probs_avx2(rows * cols);
+      const double nll_scalar = internal::ScalarTable().softmax_nll_forward(
+          logits.data(), rows, cols, targets.data(), probs_scalar.data());
+      const double nll_avx2 = internal::Avx2Table().softmax_nll_forward(
+          logits.data(), rows, cols, targets.data(), probs_avx2.data());
+      EXPECT_EQ(std::memcmp(&nll_scalar, &nll_avx2, sizeof(double)), 0)
+          << "rows=" << rows << " cols=" << cols << ": " << nll_scalar
+          << " vs " << nll_avx2;
+      EXPECT_TRUE(BitwiseEqual(probs_scalar, probs_avx2))
+          << "rows=" << rows << " cols=" << cols;
 
-      // Backward is vectorized: compare the backend tables directly,
-      // masked and unmasked.
+      // Backward, masked and unmasked.
       const uint8_t* masks[] = {nullptr, mask.data()};
       for (const uint8_t* row_mask : masks) {
         std::vector<float> d_scalar = RandomVector(rows * cols, rng);
         std::vector<float> d_avx2 = d_scalar;
         internal::ScalarTable().softmax_nll_backward(
-            probs_a.data(), targets.data(), row_mask, 0.61f, rows, cols,
+            probs_scalar.data(), targets.data(), row_mask, 0.61f, rows, cols,
             d_scalar.data());
         internal::Avx2Table().softmax_nll_backward(
-            probs_a.data(), targets.data(), row_mask, 0.61f, rows, cols,
+            probs_scalar.data(), targets.data(), row_mask, 0.61f, rows, cols,
             d_avx2.data());
         EXPECT_TRUE(BitwiseEqual(d_scalar, d_avx2))
             << "rows=" << rows << " cols=" << cols
             << " masked=" << (row_mask != nullptr);
       }
+    }
+  }
+}
+
+TEST_F(KernelParityTest, SoftmaxWeightsBitwise) {
+  Rng rng(108);
+  for (size_t n : {1u, 7u, 8u, 9u, 33u, 824u, 1136u}) {
+    for (float temperature : {1.0f, 0.7f, 3.0f}) {
+      std::vector<float> logits = RandomVector(n, rng);
+      for (float& x : logits) x *= 30.0f;
+      std::vector<double> w_scalar(n), w_avx2(n);
+      internal::ScalarTable().softmax_weights(logits.data(), n, temperature,
+                                              w_scalar.data());
+      internal::Avx2Table().softmax_weights(logits.data(), n, temperature,
+                                            w_avx2.data());
+      EXPECT_EQ(std::memcmp(w_scalar.data(), w_avx2.data(),
+                            n * sizeof(double)),
+                0)
+          << "n=" << n << " temperature=" << temperature;
+    }
+  }
+}
+
+// Runs softmax_weights (temperature 1) from both tables on `logits`,
+// whose max must be 0, so weights[j] is the exp polynomial of logits[j]
+// itself. Checks the tables agree bit for bit and returns the weights.
+std::vector<double> ExpViaBothTables(const std::vector<float>& logits) {
+  std::vector<double> w_scalar(logits.size()), w_avx2(logits.size());
+  internal::ScalarTable().softmax_weights(logits.data(), logits.size(), 1.0f,
+                                          w_scalar.data());
+  internal::Avx2Table().softmax_weights(logits.data(), logits.size(), 1.0f,
+                                        w_avx2.data());
+  EXPECT_EQ(std::memcmp(w_scalar.data(), w_avx2.data(),
+                        logits.size() * sizeof(double)),
+            0);
+  return w_scalar;
+}
+
+// A dense sweep of the exp domain [−87, 0]: every 997th float, in rows
+// that start with 0 so the row max is 0 and the kernel evaluates exp at
+// exactly the swept inputs. Each result must be within 1 ULP of exp
+// computed in double (the polynomial measures 0.952 ULP at worst over
+// every float in the range) and within one float step of std::exp.
+TEST_F(KernelParityTest, ExpPolynomialWithinOneUlpOnItsDomain) {
+  const uint32_t first = std::bit_cast<uint32_t>(-0.0f);
+  const uint32_t last = std::bit_cast<uint32_t>(-87.0f);
+  constexpr uint32_t kStride = 997;
+  constexpr size_t kChunk = 4096;
+  double worst_ulp = 0.0;
+  float worst_x = 0.0f;
+  size_t checked = 0;
+  std::vector<float> logits;
+  for (uint64_t b = first; b <= last;) {
+    logits.assign(1, 0.0f);
+    for (; b <= last && logits.size() < kChunk; b += kStride) {
+      logits.push_back(std::bit_cast<float>(static_cast<uint32_t>(b)));
+    }
+    const std::vector<double> w = ExpViaBothTables(logits);
+    for (size_t j = 1; j < logits.size(); ++j) {
+      const float x = logits[j];
+      const float y = static_cast<float>(w[j]);
+      const double exact = std::exp(static_cast<double>(x));
+      const float rounded = static_cast<float>(exact);
+      const double ulp =
+          static_cast<double>(std::nextafter(rounded, INFINITY)) - rounded;
+      const double err = std::abs(static_cast<double>(y) - exact) / ulp;
+      if (err > worst_ulp) {
+        worst_ulp = err;
+        worst_x = x;
+      }
+      const int64_t steps =
+          static_cast<int64_t>(std::bit_cast<uint32_t>(y)) -
+          static_cast<int64_t>(std::bit_cast<uint32_t>(std::exp(x)));
+      EXPECT_LE(std::abs(steps), 1) << "x=" << x;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 1000000u);
+  EXPECT_LE(worst_ulp, 1.0) << "at x=" << worst_x;
+}
+
+TEST_F(KernelParityTest, ExpPolynomialEndpoints) {
+  const float below_clamp = std::nextafter(internal::kExpLo, -INFINITY);
+  // Row max 0 first; an 8-wide group of special inputs, then a ragged tail
+  // of the same inputs, so both the vector and the scalar tail path see
+  // each one.
+  const std::vector<float> specials = {
+      -0.0f,       internal::kExpLo, below_clamp, -87.5f,
+      -100.0f,     -1e30f,           -INFINITY,   -FLT_MIN};
+  std::vector<float> logits = {0.0f};
+  logits.insert(logits.end(), specials.begin(), specials.end());
+  logits.insert(logits.end(), specials.begin(), specials.end() - 1);
+  const std::vector<double> w = ExpViaBothTables(logits);
+  for (size_t j = 0; j < logits.size(); ++j) {
+    const float x = logits[j];
+    const float y = static_cast<float>(w[j]);
+    if (x == 0.0f || x == -FLT_MIN) {
+      EXPECT_EQ(y, 1.0f) << "j=" << j;  // exp(0) is exactly 1
+    } else if (x < internal::kExpLo) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(y), 0u) << "x=" << x;  // exactly +0
+    } else {
+      EXPECT_GT(y, 0.0f) << "x=" << x;
+      EXPECT_TRUE(std::isnormal(y)) << "x=" << x;
+    }
+  }
+}
+
+// NaN and ±inf semantics, pinned on both backends and at every position
+// a logit can take (first, inside a lane group, in the ragged tail).
+TEST_F(KernelParityTest, SoftmaxNonFiniteLogits) {
+  const size_t n = 19;  // two lane groups and a tail of 3
+  Rng rng(109);
+  const std::vector<float> base = RandomVector(n, rng);
+  const internal::KernelTable* tables[] = {&internal::ScalarTable(),
+                                           &internal::Avx2Table()};
+  for (const internal::KernelTable* table : tables) {
+    for (size_t at : {size_t{0}, size_t{5}, size_t{8}, size_t{17}}) {
+      // NaN: the loss and the weight total are NaN, so GuardFiniteLoss
+      // and SampleDiscrete's uniform fallback both see it.
+      std::vector<float> logits = base;
+      logits[at] = NAN;
+      std::vector<float> probs(n);
+      const uint32_t target = at == 0 ? 1 : 0;
+      EXPECT_TRUE(std::isnan(table->softmax_nll_forward(
+          logits.data(), 1, n, &target, probs.data())))
+          << "NaN at " << at;
+      std::vector<double> w(n);
+      table->softmax_weights(logits.data(), n, 1.0f, w.data());
+      EXPECT_TRUE(std::isnan(w[at])) << "NaN at " << at;
+
+      // −inf: weight and probability exactly 0; the rest stays a finite
+      // distribution whose max has weight exactly 1.
+      logits = base;
+      logits[at] = -INFINITY;
+      const double nll = table->softmax_nll_forward(logits.data(), 1, n,
+                                                    &target, probs.data());
+      EXPECT_TRUE(std::isfinite(nll)) << "-inf at " << at;
+      EXPECT_EQ(std::bit_cast<uint32_t>(probs[at]), 0u) << "-inf at " << at;
+      table->softmax_weights(logits.data(), n, 0.7f, w.data());
+      EXPECT_EQ(w[at], 0.0) << "-inf at " << at;
+      const size_t argmax = static_cast<size_t>(
+          std::max_element(logits.begin(), logits.end()) - logits.begin());
+      EXPECT_EQ(w[argmax], 1.0) << "-inf at " << at;
+      double psum = 0.0;
+      for (float p : probs) psum += p;
+      EXPECT_NEAR(psum, 1.0, 1e-5);
     }
   }
 }

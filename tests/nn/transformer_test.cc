@@ -214,6 +214,57 @@ TEST(TransformerDecoderTest, SampleWalkMatchesSampleNextLoop) {
   }
 }
 
+// The decode's sampling weights come from kernels::SoftmaxWeights. With
+// a NaN logit the weight total is NaN and SampleDiscrete falls back to a
+// uniform pick, so every token stays reachable and in range; the prefix
+// tokens keep finite embeddings so only the poisoned logit is NaN.
+TEST(TransformerLMTest, NanLogitFallsBackToUniformInRangeDraws) {
+  Rng rng(16);
+  TransformerLM lm(SmallConfig(), rng);
+  const std::vector<uint32_t> prefix{3, 1, 7};
+  Tensor& table = lm.node_embeddings()->value;
+  for (size_t c = 0; c < table.cols(); ++c) table.at(9, c) = NAN;
+  ASSERT_TRUE(std::isnan(lm.NextLogits(prefix)->value.at(0, 9)));
+
+  // The fallback is one UniformU32(vocab) draw per token: replaying that
+  // stream must give the same picks.
+  Rng draw_rng(17), uniform_rng(17);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(lm.SampleNext(prefix, draw_rng), uniform_rng.UniformU32(12))
+        << "draw " << i;
+  }
+  // The KV-cache path degrades the same way.
+  Rng walk_rng(18);
+  const std::vector<uint32_t> walk = lm.SampleWalk(3, 9, walk_rng);
+  EXPECT_EQ(walk.size(), 9u);
+  for (uint32_t v : walk) EXPECT_LT(v, 12u);
+}
+
+// A −inf logit gets weight exactly 0, so it is never drawn, by either
+// decode path.
+TEST(TransformerLMTest, NegativeInfinityLogitIsNeverSampled) {
+  Rng rng(19);
+  TransformerLM lm(SmallConfig(), rng);
+  const std::vector<uint32_t> prefix{3, 1, 7};
+  // Token 9's logit is h · E[9]. With E[9] = e_0 it equals h_0; then an
+  // infinity of the opposite sign in that one coordinate makes it −inf
+  // (the other coordinates contribute exact zeros).
+  Tensor& table = lm.node_embeddings()->value;
+  for (size_t c = 0; c < table.cols(); ++c) table.at(9, c) = 0.0f;
+  table.at(9, 0) = 1.0f;
+  const float h0 = lm.NextLogits(prefix)->value.at(0, 9);
+  ASSERT_NE(h0, 0.0f);
+  table.at(9, 0) = h0 > 0.0f ? -INFINITY : INFINITY;
+  ASSERT_EQ(lm.NextLogits(prefix)->value.at(0, 9), -INFINITY);
+
+  Rng draw_rng(20);
+  for (int i = 0; i < 2000; ++i) {
+    // Temperature 3 flattens the rest of the row, so a token with any
+    // positive weight would come up.
+    ASSERT_NE(lm.SampleNext(prefix, draw_rng, 3.0f), 9u);
+  }
+}
+
 TEST(TransformerLMDeathTest, WalkExceedingMaxLenRejected) {
   Rng rng(12);
   TransformerConfig cfg = SmallConfig();
