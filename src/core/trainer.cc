@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <any>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -58,8 +61,9 @@ bool GuardFiniteLoss(double value, const char* component, double* sum) {
 // Gradient shards per generator minibatch (nn/data_parallel.h). The
 // shard count fixes the order in which the per-walk gradients are
 // summed, so it is part of the training trajectory; the thread count is
-// not. Two shards match the benchmark's two threads. Each shard after
-// the first costs one model replica and a gradient fold per batch.
+// not. Two shards match the benchmark's two threads. Each shard builds
+// one stacked tape per batch; each shard after the first costs one model
+// replica and a gradient fold per batch.
 constexpr uint32_t kGeneratorGradShards = 2;
 
 }  // namespace
@@ -100,10 +104,11 @@ std::vector<Walk> FairGenTrainer::SampleGeneratorWalks(size_t count,
   FAIRGEN_CHECK(model_ != nullptr && start_table_ != nullptr);
   std::vector<Walk> walks;
   walks.reserve(count);
+  nn::TransformerDecoder decoder(model_->generator());
   for (size_t i = 0; i < count; ++i) {
     uint32_t start = start_table_->Sample(rng);
-    walks.push_back(model_->generator().SampleWalk(
-        start, config_.walk_length, rng, config_.temperature));
+    walks.push_back(decoder.SampleWalk(start, config_.walk_length, rng,
+                                       config_.temperature));
   }
   return walks;
 }
@@ -131,10 +136,13 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
     replica_params.push_back(replicas.back()->Parameters());
   }
   nn::DataParallelGrads grads(optim.params(), std::move(replica_params));
+  // Each shard back-propagates its slice of a batch as one stacked tape;
+  // its [R, V] loss buffers persist across batches.
+  std::array<nn::WalkLossWorkspace, kGeneratorGradShards> workspaces;
 
   double loss_sum = 0.0;
   uint64_t loss_count = 0;
-  std::vector<std::pair<bool, const Walk*>> items;
+  std::vector<nn::TrainingWalk> items;
   std::vector<double> batch_losses;
   for (uint32_t epoch = 0; epoch < config_.generator_epochs; ++epoch) {
     // Walks too short to score take no place in a batch.
@@ -142,7 +150,7 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
     for (const auto& [is_positive, idx] : dataset_.EpochOrder(rng)) {
       const Walk& walk = is_positive ? dataset_.positives()[idx]
                                      : dataset_.negatives()[idx];
-      if (walk.size() >= 2) items.emplace_back(is_positive, &walk);
+      if (walk.size() >= 2) items.push_back({&walk, !is_positive});
     }
     for (size_t begin = 0; begin < items.size();
          begin += config_.generator_batch) {
@@ -150,21 +158,15 @@ double FairGenTrainer::TrainGenerator(Rng& rng) {
                                            items.size() - begin);
       batch_losses.assign(size, 0.0);
       grads.Accumulate(
-          size, config_.num_threads, [&](size_t shard, size_t i) {
+          size, config_.num_threads, [&](size_t shard, size_t lo, size_t hi) {
             const nn::TransformerLM& lm =
                 shard == 0 ? model_->generator() : *replicas[shard - 1];
-            const auto& [is_positive, walk] = items[begin + i];
-            nn::Var loss;
-            if (is_positive) {
-              loss = lm.WalkNll(*walk);
-            } else {
-              std::vector<uint32_t> prefix(walk->begin(), walk->end() - 1);
-              std::vector<uint32_t> targets(walk->begin() + 1, walk->end());
-              loss = nn::NegativeWalkPenalty(lm.Logits(prefix), targets,
-                                             floor_logprob);
-            }
-            nn::Backward(loss);
-            batch_losses[i] = loss->value.ScalarValue();
+            std::vector<float> walk_losses;
+            nn::Backward(lm.WalkBatchLoss(
+                std::span(items).subspan(begin + lo, hi - lo), floor_logprob,
+                &walk_losses, &workspaces[shard]));
+            std::copy(walk_losses.begin(), walk_losses.end(),
+                      batch_losses.begin() + lo);
           });
       for (double value : batch_losses) {
         if (inject_nan_batches_ > 0) {
@@ -600,22 +602,27 @@ EdgeScoreAccumulator FairGenTrainer::AccumulateWalks(Rng& rng) const {
   }
 
   // Model forward passes are read-only and thread-safe, so the walk
-  // sampling runs on the shared deterministic runtime (common/parallel.h).
+  // sampling runs on the shared deterministic runtime (common/parallel.h),
+  // with one decoder per budget chunk.
   return AccumulateWalkScores(
       fitted_graph_.num_nodes(), target_transitions, config_.num_threads,
-      rng, [this, &class_nodes](Rng& worker_rng) {
-        uint32_t start;
-        if (!class_nodes.empty() &&
-            !worker_rng.Bernoulli(config_.general_ratio)) {
-          const auto& members = class_nodes[worker_rng.UniformU32(
-              static_cast<uint32_t>(class_nodes.size()))];
-          start = members[worker_rng.UniformU32(
-              static_cast<uint32_t>(members.size()))];
-        } else {
-          start = start_table_->Sample(worker_rng);
-        }
-        return model_->generator().SampleWalk(
-            start, config_.walk_length, worker_rng, config_.temperature);
+      rng, [this, &class_nodes] {
+        auto decoder =
+            std::make_shared<nn::TransformerDecoder>(model_->generator());
+        return WalkSampler([this, &class_nodes, decoder](Rng& worker_rng) {
+          uint32_t start;
+          if (!class_nodes.empty() &&
+              !worker_rng.Bernoulli(config_.general_ratio)) {
+            const auto& members = class_nodes[worker_rng.UniformU32(
+                static_cast<uint32_t>(class_nodes.size()))];
+            start = members[worker_rng.UniformU32(
+                static_cast<uint32_t>(members.size()))];
+          } else {
+            start = start_table_->Sample(worker_rng);
+          }
+          return decoder->SampleWalk(start, config_.walk_length, worker_rng,
+                                     config_.temperature);
+        });
       });
 }
 
@@ -655,10 +662,14 @@ void FairGenTrainer::RunFairnessProbe(uint32_t cycle) {
   double discrepancy_mean = 0.0;
   EdgeScoreAccumulator acc = AccumulateWalkScores(
       fitted_graph_.num_nodes(), fitted_graph_.num_edges(),
-      config_.num_threads, probe_rng, [this](Rng& worker_rng) {
-        return model_->generator().SampleWalk(
-            start_table_->Sample(worker_rng), config_.walk_length,
-            worker_rng, config_.temperature);
+      config_.num_threads, probe_rng, [this] {
+        auto decoder =
+            std::make_shared<nn::TransformerDecoder>(model_->generator());
+        return WalkSampler([this, decoder](Rng& worker_rng) {
+          return decoder->SampleWalk(start_table_->Sample(worker_rng),
+                                     config_.walk_length, worker_rng,
+                                     config_.temperature);
+        });
       });
   AssemblerCriteria criteria;
   criteria.preserve_protected_volume = !protected_set_.empty();

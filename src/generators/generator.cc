@@ -96,7 +96,15 @@ constexpr uint64_t kWalkBudgetChunks = 64;
 
 EdgeScoreAccumulator AccumulateWalkScores(
     uint32_t num_nodes, uint64_t target_transitions, uint32_t num_threads,
-    Rng& rng, const std::function<Walk(Rng&)>& sample_walk) {
+    Rng& rng, const WalkSampler& sample_walk) {
+  return AccumulateWalkScores(
+      num_nodes, target_transitions, num_threads, rng,
+      std::function<WalkSampler()>([&sample_walk] { return sample_walk; }));
+}
+
+EdgeScoreAccumulator AccumulateWalkScores(
+    uint32_t num_nodes, uint64_t target_transitions, uint32_t num_threads,
+    Rng& rng, const std::function<WalkSampler()>& new_sampler) {
   trace::ScopedSpan span("generate.accumulate_walks",
                          trace::Category::kGenerate);
   static metrics::Counter& walk_counter =
@@ -128,6 +136,7 @@ EdgeScoreAccumulator AccumulateWalkScores(
         const uint64_t budget = base_budget + (c < remainder ? 1 : 0);
         Rng& worker_rng = streams[c];
         EdgeScoreAccumulator& acc = partials[c];
+        const WalkSampler sample_walk = new_sampler();
         uint64_t transitions = 0;
         uint64_t walks = 0;
         uint64_t degenerate = 0;

@@ -95,6 +95,9 @@ class EdgeScoreAccumulator {
   double total_score_ = 0.0;
 };
 
+/// Draws one walk from the RNG stream it is given.
+using WalkSampler = std::function<Walk(Rng&)>;
+
 /// \brief Samples walks from `sample_walk` until `target_transitions` walk
 /// transitions have been accumulated, and returns the combined score
 /// accumulator. The shared generation-time sampling loop of
@@ -112,7 +115,17 @@ class EdgeScoreAccumulator {
 /// `walk_length == 1` configuration), guaranteeing termination.
 EdgeScoreAccumulator AccumulateWalkScores(
     uint32_t num_nodes, uint64_t target_transitions, uint32_t num_threads,
-    Rng& rng, const std::function<Walk(Rng&)>& sample_walk);
+    Rng& rng, const WalkSampler& sample_walk);
+
+/// The same loop with per-chunk sampler state: `new_sampler()` runs once
+/// per budget chunk, on the worker that runs the chunk, and the sampler
+/// it returns draws every walk of that chunk. This is where state goes
+/// that is costly to build and must not be shared across threads, such
+/// as a model's KV-cache decoder. The overload above is this one with
+/// a sampler that has no state.
+EdgeScoreAccumulator AccumulateWalkScores(
+    uint32_t num_nodes, uint64_t target_transitions, uint32_t num_threads,
+    Rng& rng, const std::function<WalkSampler()>& new_sampler);
 
 }  // namespace fairgen
 

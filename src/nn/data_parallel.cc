@@ -41,7 +41,7 @@ DataParallelGrads::DataParallelGrads(std::vector<Var> params,
 
 void DataParallelGrads::Accumulate(
     size_t num_items, uint32_t num_threads,
-    const std::function<void(size_t shard, size_t item)>& fn) {
+    const std::function<void(size_t shard, size_t lo, size_t hi)>& fn) {
   if (num_items == 0) {
     ZeroGrad(params_);
     return;
@@ -62,7 +62,7 @@ void DataParallelGrads::Accumulate(
             replica.grad.Zero();
           }
         }
-        for (size_t item = lo; item < hi; ++item) fn(shard, item);
+        fn(shard, lo, hi);
       },
       num_threads);
   if (shards == 1) return;

@@ -21,16 +21,17 @@ namespace fairgen::nn {
 /// num_shards — and runs the shards concurrently on the shared pool
 /// (common/parallel.h). Shard 0 zeroes the master gradients; every other
 /// shard copies the master values into its replica and zeroes the replica
-/// gradients. Each shard then calls `fn(shard, item)` for its items in
-/// ascending order; `fn` builds its tape on shard `shard`'s parameters
-/// and calls Backward, so the shard's gradient g_s accumulates there.
+/// gradients. Each shard then calls `fn(shard, lo, hi)` once with its
+/// item range [lo, hi); `fn` builds its tape (one per item, or one for
+/// the whole range) on shard `shard`'s parameters and calls Backward, so
+/// the shard's gradient g_s accumulates there.
 /// Finally g_1, g_2, ... are added into the master gradients element by
 /// element in shard order, leaving g_0 + g_1 + ... + g_{k-1}.
 ///
 /// Because both the shard layout and the fold order are fixed, the master
 /// gradients are bitwise identical at every thread count. With a single
-/// shard the call is exactly the plain sequential minibatch loop: zero
-/// the master gradients, then back-propagate item by item. Different
+/// shard the call is exactly the plain sequential minibatch: zero the
+/// master gradients, then run `fn(0, 0, num_items)`. Different
 /// shard counts sum in different orders, so the shard count is part of
 /// the training trajectory.
 class DataParallelGrads {
@@ -49,9 +50,11 @@ class DataParallelGrads {
   /// `num_threads` follows the common/parallel convention (0 = process
   /// default, 1 = serial). `fn` runs concurrently for different shards and
   /// must only touch its shard's parameters and per-item output slots.
-  /// With `num_items` = 0 the master gradients are zeroed.
-  void Accumulate(size_t num_items, uint32_t num_threads,
-                  const std::function<void(size_t shard, size_t item)>& fn);
+  /// With `num_items` = 0 the master gradients are zeroed and `fn` is not
+  /// called.
+  void Accumulate(
+      size_t num_items, uint32_t num_threads,
+      const std::function<void(size_t shard, size_t lo, size_t hi)>& fn);
 
  private:
   /// A reduction task: elements [begin, end) of parameter `param`.

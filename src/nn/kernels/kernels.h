@@ -57,7 +57,10 @@ Backend SetBackendForTesting(Backend backend);
 // Dispatched kernels (row-major, C overwritten)
 // ---------------------------------------------------------------------------
 
-/// C[m,n] = A[m,k] · B[k,n].
+/// C[m,n] = A[m,k] · B[k,n]. The AVX2 backend computes four rows of C
+/// per pass, so each B vector it loads feeds four accumulators; that
+/// changes which elements are updated together, not any element's
+/// operation sequence.
 void MatMul(const float* a, const float* b, float* c, size_t m, size_t k,
             size_t n);
 
@@ -109,7 +112,8 @@ void AdamUpdate(float* value, const float* grad, float* m, float* v,
 /// Σ e_j in eight double lane partials folded in one fixed order,
 /// probs = float(e_j / Σ) via a double reciprocal, and one libm `log`.
 /// Both backends run that sequence, so their bits match. A NaN logit
-/// makes the total NaN.
+/// makes the total NaN. `probs` may alias `logits` (the softmax is then
+/// written in place); `targets[r]` must be below `cols` (callers check).
 double SoftmaxNllForward(const float* logits, size_t rows, size_t cols,
                          const uint32_t* targets, float* probs);
 

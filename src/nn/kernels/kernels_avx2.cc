@@ -52,92 +52,154 @@ inline void AxpyRow(float* crow, const float* brow, float av, size_t j0,
 // bits are unchanged — register blocking only removes intermediate
 // load/store round-trips. Two j-blocks per iteration give the adds two
 // independent dependency chains.
+//
+// A operand access is strided so one body serves both layouts: the
+// multiplier of output row i at reduction step p is a[i * rs + p * ps]
+// (MatMul: rs = k, ps = 1; MatMulTransA: rs = 1, ps = m).
+
+// Columns [j0, n) of one output row, one at a time.
+inline void MatMulRowTail(const float* a, size_t ps, const float* b,
+                          float* crow, size_t k, size_t n, size_t j0) {
+  for (size_t j = j0; j < n; ++j) {
+    float acc = 0.0f;
+    for (size_t p = 0; p < k; ++p) {
+      const float av = a[p * ps];
+      if (av == 0.0f) continue;
+      acc += av * b[p * n + j];
+    }
+    crow[j] = acc;
+  }
+}
+
+// One output row: c[0, n) = Σ_p a(p) · B[p, :].
+inline void MatMulRow(const float* a, size_t ps, const float* b, float* crow,
+                      size_t k, size_t n) {
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    for (size_t p = 0; p < k; ++p) {
+      const float av = a[p * ps];
+      if (av == 0.0f) continue;
+      const __m256 vav = _mm256_set1_ps(av);
+      const float* brow = b + p * n + j;
+      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(vav, _mm256_loadu_ps(brow)));
+      acc1 = _mm256_add_ps(acc1,
+                           _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 8)));
+    }
+    _mm256_storeu_ps(crow + j, acc0);
+    _mm256_storeu_ps(crow + j + 8, acc1);
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 acc = _mm256_setzero_ps();
+    for (size_t p = 0; p < k; ++p) {
+      const float av = a[p * ps];
+      if (av == 0.0f) continue;
+      acc = _mm256_add_ps(
+          acc, _mm256_mul_ps(_mm256_set1_ps(av),
+                             _mm256_loadu_ps(b + p * n + j)));
+    }
+    _mm256_storeu_ps(crow + j, acc);
+  }
+  MatMulRowTail(a, ps, b, crow, k, n, j);
+}
+
+// acc += av · bv unless av is zero: the reference's zero-skip, per row.
+inline __m256 AccumulateUnlessZero(__m256 acc, float av, __m256 bv) {
+  if (av == 0.0f) return acc;
+  return _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), bv));
+}
+
+// Four output rows at once: every B vector loaded at step p feeds four
+// rows' accumulators instead of one, which is what makes the stacked
+// training products (tens of rows against the vocabulary-wide table)
+// load-bound no longer. Each row keeps its own zero-skip, so every
+// element sees the MatMulRow sequence. Kept out of line: inlined into
+// the dispatch loop it slowed the single-row decode product by ~10%.
+[[gnu::noinline]] void MatMul4Rows(const float* a, size_t rs, size_t ps,
+                                   const float* b, float* c, size_t k,
+                                   size_t n) {
+  const float* a0 = a;
+  const float* a1 = a + rs;
+  const float* a2 = a + 2 * rs;
+  const float* a3 = a + 3 * rs;
+  float* c0 = c;
+  float* c1 = c + n;
+  float* c2 = c + 2 * n;
+  float* c3 = c + 3 * n;
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
+    __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
+    __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
+    __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+    for (size_t p = 0; p < k; ++p) {
+      const float* brow = b + p * n + j;
+      const __m256 b0 = _mm256_loadu_ps(brow);
+      const __m256 b1 = _mm256_loadu_ps(brow + 8);
+      const float v0 = a0[p * ps];
+      const float v1 = a1[p * ps];
+      const float v2 = a2[p * ps];
+      const float v3 = a3[p * ps];
+      acc00 = AccumulateUnlessZero(acc00, v0, b0);
+      acc01 = AccumulateUnlessZero(acc01, v0, b1);
+      acc10 = AccumulateUnlessZero(acc10, v1, b0);
+      acc11 = AccumulateUnlessZero(acc11, v1, b1);
+      acc20 = AccumulateUnlessZero(acc20, v2, b0);
+      acc21 = AccumulateUnlessZero(acc21, v2, b1);
+      acc30 = AccumulateUnlessZero(acc30, v3, b0);
+      acc31 = AccumulateUnlessZero(acc31, v3, b1);
+    }
+    _mm256_storeu_ps(c0 + j, acc00);
+    _mm256_storeu_ps(c0 + j + 8, acc01);
+    _mm256_storeu_ps(c1 + j, acc10);
+    _mm256_storeu_ps(c1 + j + 8, acc11);
+    _mm256_storeu_ps(c2 + j, acc20);
+    _mm256_storeu_ps(c2 + j + 8, acc21);
+    _mm256_storeu_ps(c3 + j, acc30);
+    _mm256_storeu_ps(c3 + j + 8, acc31);
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+    for (size_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_loadu_ps(b + p * n + j);
+      acc0 = AccumulateUnlessZero(acc0, a0[p * ps], bv);
+      acc1 = AccumulateUnlessZero(acc1, a1[p * ps], bv);
+      acc2 = AccumulateUnlessZero(acc2, a2[p * ps], bv);
+      acc3 = AccumulateUnlessZero(acc3, a3[p * ps], bv);
+    }
+    _mm256_storeu_ps(c0 + j, acc0);
+    _mm256_storeu_ps(c1 + j, acc1);
+    _mm256_storeu_ps(c2 + j, acc2);
+    _mm256_storeu_ps(c3 + j, acc3);
+  }
+  for (size_t r = 0; r < 4; ++r) {
+    MatMulRowTail(a + r * rs, ps, b, c + r * n, k, n, j);
+  }
+}
+
+// C[m, n] from m rows of multipliers (see the stride rule above): blocks
+// of four rows, then the remainder one row at a time.
+// Inlined into both callers so the constant stride folds into MatMulRow.
+[[gnu::always_inline]] inline void MatMulStridedAvx2(
+    const float* a, size_t rs, size_t ps, const float* b, float* c, size_t m,
+    size_t k, size_t n) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    MatMul4Rows(a + i * rs, rs, ps, b, c + i * n, k, n);
+  }
+  for (; i < m; ++i) MatMulRow(a + i * rs, ps, b, c + i * n, k, n);
+}
 
 void MatMulAvx2(const float* a, const float* b, float* c, size_t m, size_t k,
                 size_t n) {
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        const __m256 vav = _mm256_set1_ps(av);
-        const float* brow = b + p * n + j;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(vav, _mm256_loadu_ps(brow)));
-        acc1 = _mm256_add_ps(acc1,
-                             _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 8)));
-      }
-      _mm256_storeu_ps(crow + j, acc0);
-      _mm256_storeu_ps(crow + j + 8, acc1);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(av),
-                               _mm256_loadu_ps(b + p * n + j)));
-      }
-      _mm256_storeu_ps(crow + j, acc);
-    }
-    for (; j < n; ++j) {
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        acc += av * b[p * n + j];
-      }
-      crow[j] = acc;
-    }
-  }
+  MatMulStridedAvx2(a, k, 1, b, c, m, k, n);
 }
 
 void MatMulTransAAvx2(const float* a, const float* b, float* c, size_t m,
                       size_t k, size_t n) {
-  for (size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        const float av = a[p * m + i];
-        if (av == 0.0f) continue;
-        const __m256 vav = _mm256_set1_ps(av);
-        const float* brow = b + p * n + j;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(vav, _mm256_loadu_ps(brow)));
-        acc1 = _mm256_add_ps(acc1,
-                             _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 8)));
-      }
-      _mm256_storeu_ps(crow + j, acc0);
-      _mm256_storeu_ps(crow + j + 8, acc1);
-    }
-    for (; j + 8 <= n; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (size_t p = 0; p < k; ++p) {
-        const float av = a[p * m + i];
-        if (av == 0.0f) continue;
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(av),
-                               _mm256_loadu_ps(b + p * n + j)));
-      }
-      _mm256_storeu_ps(crow + j, acc);
-    }
-    for (; j < n; ++j) {
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) {
-        const float av = a[p * m + i];
-        if (av == 0.0f) continue;
-        acc += av * b[p * n + j];
-      }
-      crow[j] = acc;
-    }
-  }
+  MatMulStridedAvx2(a, 1, m, b, c, m, k, n);
 }
 
 void AddAvx2(float* a, const float* b, size_t len) {
@@ -218,6 +280,8 @@ double SoftmaxNllForwardAvx2(const float* logits, size_t rows, size_t cols,
   for (size_t r = 0; r < rows; ++r) {
     const float* row = logits + r * cols;
     float* prow = probs + r * cols;
+    // Read before prow is written: probs may alias logits.
+    const float target_logit = row[targets[r]];
     const float max_v = RowMaxAvx2(row, cols);
     const __m256 vmax = _mm256_set1_ps(max_v);
     __m256d sum_lo = _mm256_setzero_pd();
@@ -251,7 +315,7 @@ double SoftmaxNllForwardAvx2(const float* logits, size_t rows, size_t cols,
                           _mm256_cvtpd_ps(_mm256_mul_pd(p_lo, vinv))));
     }
     for (; j < cols; ++j) prow[j] = static_cast<float>(prow[j] * inv);
-    total += (std::log(sum) + max_v) - static_cast<double>(row[targets[r]]);
+    total += (std::log(sum) + max_v) - static_cast<double>(target_logit);
   }
   return total;
 }

@@ -99,6 +99,8 @@ double SoftmaxNllForwardScalar(const float* logits, size_t rows, size_t cols,
   for (size_t r = 0; r < rows; ++r) {
     const float* row = logits + r * cols;
     float* prow = probs + r * cols;
+    // Read before prow is written: probs may alias logits.
+    const float target_logit = row[targets[r]];
     const float max_v = RowMaxScalar(row, cols);
     double sums[kLanes] = {};
     for (size_t j = 0; j < cols; ++j) {
@@ -110,7 +112,7 @@ double SoftmaxNllForwardScalar(const float* logits, size_t rows, size_t cols,
     for (size_t j = 0; j < cols; ++j) {
       prow[j] = static_cast<float>(prow[j] * inv);
     }
-    total += (std::log(sum) + max_v) - static_cast<double>(row[targets[r]]);
+    total += (std::log(sum) + max_v) - static_cast<double>(target_logit);
   }
   return total;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/kernels/kernels.h"
 
 namespace fairgen::nn {
 
@@ -11,6 +12,20 @@ using internal::MakeOpNode;
 
 namespace {
 constexpr float kSqrt2OverPi = 0.7978845608028654f;
+
+// Softmax of one row (float max, libm exp, double total). `dst` may be
+// `src`. The KV-cache decoder replays this loop (nn/transformer.cc).
+void SoftmaxRowForward(const float* src, size_t cols, float* dst) {
+  float max_val = src[0];
+  for (size_t c = 1; c < cols; ++c) max_val = std::max(max_val, src[c]);
+  double total = 0.0;
+  for (size_t c = 0; c < cols; ++c) {
+    dst[c] = std::exp(src[c] - max_val);
+    total += dst[c];
+  }
+  float inv = static_cast<float>(1.0 / total);
+  for (size_t c = 0; c < cols; ++c) dst[c] *= inv;
+}
 }  // namespace
 
 Var Add(const Var& a, const Var& b) {
@@ -338,6 +353,147 @@ Var MatMulTransBOp(const Var& a, const Var& b) {
       "matmul_trans_b");
 }
 
+namespace {
+// Copies the [rows, width] block at column `col` of row-major `src`
+// (row stride `stride`) into the contiguous `dst`.
+void GatherBlock(const float* src, size_t stride, size_t col, size_t rows,
+                 size_t width, float* dst) {
+  for (size_t r = 0; r < rows; ++r) {
+    const float* row = src + r * stride + col;
+    std::copy(row, row + width, dst + r * width);
+  }
+}
+
+// dst block at column `col` (row stride `stride`) += contiguous `src`.
+void AddBlock(const float* src, size_t rows, size_t width, float* dst,
+              size_t stride, size_t col) {
+  for (size_t r = 0; r < rows; ++r) {
+    float* row = dst + r * stride + col;
+    const float* in = src + r * width;
+    for (size_t c = 0; c < width; ++c) row[c] += in[c];
+  }
+}
+
+// The additive causal mask above the diagonal. Masked scores underflow
+// to probability exactly 0.
+constexpr float kCausalMask = -1e9f;
+}  // namespace
+
+Var CausalSelfAttention(const Var& qkv,
+                        const std::vector<size_t>& segment_offsets,
+                        size_t heads) {
+  const size_t rows = qkv->rows();
+  FAIRGEN_CHECK(heads > 0 && qkv->cols() % (3 * heads) == 0)
+      << "qkv width " << qkv->cols() << " does not split into 3 x " << heads
+      << " heads";
+  FAIRGEN_CHECK(segment_offsets.size() >= 2 && segment_offsets.front() == 0 &&
+                segment_offsets.back() == rows)
+      << "segment offsets must run from 0 to " << rows;
+  const size_t dim = qkv->cols() / 3;
+  const size_t dh = dim / heads;
+  const size_t stride = 3 * dim;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+
+  // The attention probabilities of every (walk, head) pair, kept for the
+  // backward: walk s, head h is a [T_s, T_s] block.
+  size_t prob_floats = 0;
+  size_t max_len = 0;
+  for (size_t s = 0; s + 1 < segment_offsets.size(); ++s) {
+    FAIRGEN_CHECK(segment_offsets[s] < segment_offsets[s + 1])
+        << "segment " << s << " is empty";
+    const size_t len = segment_offsets[s + 1] - segment_offsets[s];
+    prob_floats += heads * len * len;
+    max_len = std::max(max_len, len);
+  }
+  auto probs = std::make_shared<std::vector<float>>(prob_floats);
+  std::vector<float> scratch(4 * max_len * dh);
+  float* q = scratch.data();
+  float* k = q + max_len * dh;
+  float* v = k + max_len * dh;
+  float* head_out = v + max_len * dh;
+
+  Tensor out(rows, dim);
+  float* p = probs->data();
+  for (size_t s = 0; s + 1 < segment_offsets.size(); ++s) {
+    const size_t lo = segment_offsets[s];
+    const size_t len = segment_offsets[s + 1] - lo;
+    const float* x = qkv->value.row(lo);
+    for (size_t h = 0; h < heads; ++h, p += len * len) {
+      GatherBlock(x, stride, h * dh, len, dh, q);
+      GatherBlock(x, stride, dim + h * dh, len, dh, k);
+      GatherBlock(x, stride, 2 * dim + h * dh, len, dh, v);
+      kernels::MatMulTransB(q, k, p, len, dh, len);
+      kernels::Scale(p, scale, len * len);
+      for (size_t i = 0; i < len; ++i) {
+        // x + 0.0f is not an identity for −0.0, and the decoder replays
+        // the add, so the diagonal and below get +0.0f too.
+        for (size_t j = 0; j < len; ++j) {
+          p[i * len + j] += j > i ? kCausalMask : 0.0f;
+        }
+        SoftmaxRowForward(p + i * len, len, p + i * len);
+      }
+      kernels::MatMul(p, v, head_out, len, len, dh);
+      for (size_t i = 0; i < len; ++i) {
+        std::copy(head_out + i * dh, head_out + (i + 1) * dh,
+                  out.row(lo + i) + h * dh);
+      }
+    }
+  }
+  return MakeOpNode(
+      std::move(out), {qkv},
+      [segment_offsets, heads, dh, scale, max_len,
+       probs = std::move(probs)](Node& n) {
+        Node* px = n.parents[0].get();
+        const size_t dim = heads * dh;
+        const size_t stride = 3 * dim;
+        const size_t block = max_len * dh;
+        std::vector<float> scratch(7 * block + 2 * max_len * max_len);
+        float* q = scratch.data();
+        float* k = q + block;
+        float* v = k + block;
+        float* dout = v + block;
+        float* dq = dout + block;
+        float* dk = dq + block;
+        float* dv = dk + block;
+        float* dp = dv + block;
+        float* ds = dp + max_len * max_len;
+        const float* p = probs->data();
+        for (size_t s = 0; s + 1 < segment_offsets.size(); ++s) {
+          const size_t lo = segment_offsets[s];
+          const size_t len = segment_offsets[s + 1] - lo;
+          const float* x = px->value.row(lo);
+          float* dx = px->grad.row(lo);
+          for (size_t h = 0; h < heads; ++h, p += len * len) {
+            GatherBlock(x, stride, h * dh, len, dh, q);
+            GatherBlock(x, stride, dim + h * dh, len, dh, k);
+            GatherBlock(x, stride, 2 * dim + h * dh, len, dh, v);
+            GatherBlock(n.grad.row(lo), dim, h * dh, len, dh, dout);
+            // out = P·V: dV = Pᵀ·dout, dP = dout·Vᵀ.
+            kernels::MatMulTransA(p, dout, dv, len, len, dh);
+            kernels::MatMulTransB(dout, v, dp, len, dh, len);
+            // Softmax backward (as SoftmaxRows), then the score scale.
+            for (size_t i = 0; i < len; ++i) {
+              const float* y = p + i * len;
+              const float* dy = dp + i * len;
+              double dot = 0.0;
+              for (size_t j = 0; j < len; ++j) dot += dy[j] * y[j];
+              for (size_t j = 0; j < len; ++j) {
+                ds[i * len + j] =
+                    scale * (y[j] * (dy[j] - static_cast<float>(dot)));
+              }
+            }
+            // scores = Q·Kᵀ: dQ = dS·K, dK = dSᵀ·Q.
+            kernels::MatMul(ds, k, dq, len, len, dh);
+            kernels::MatMulTransA(ds, q, dk, len, len, dh);
+            AddBlock(dq, len, dh, dx, stride, h * dh);
+            AddBlock(dk, len, dh, dx, stride, dim + h * dh);
+            AddBlock(dv, len, dh, dx, stride, 2 * dim + h * dh);
+          }
+        }
+      },
+      "causal_self_attention");
+}
+
 Var SliceCols(const Var& a, size_t start, size_t len) {
   FAIRGEN_CHECK(start + len <= a->cols());
   Tensor out(a->rows(), len);
@@ -460,17 +616,7 @@ namespace {
 Tensor SoftmaxForward(const Tensor& x) {
   Tensor out(x.rows(), x.cols());
   for (size_t r = 0; r < x.rows(); ++r) {
-    const float* src = x.row(r);
-    float* dst = out.row(r);
-    float max_val = src[0];
-    for (size_t c = 1; c < x.cols(); ++c) max_val = std::max(max_val, src[c]);
-    double total = 0.0;
-    for (size_t c = 0; c < x.cols(); ++c) {
-      dst[c] = std::exp(src[c] - max_val);
-      total += dst[c];
-    }
-    float inv = static_cast<float>(1.0 / total);
-    for (size_t c = 0; c < x.cols(); ++c) dst[c] *= inv;
+    SoftmaxRowForward(x.row(r), x.cols(), out.row(r));
   }
   return out;
 }

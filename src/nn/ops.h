@@ -78,6 +78,23 @@ Var MatMulTransBOp(const Var& a, const Var& b);
 /// layers sit on the per-walk training hot path.
 Var LinearOp(const Var& x, const Var& w, const Var& bias);
 
+/// Causal multi-head self-attention core over walks stacked row-wise.
+/// `qkv` is [R, 3D] (queries, keys, values side by side, each D wide and
+/// split into `heads` blocks of D/heads columns); walk s owns rows
+/// [segment_offsets[s], segment_offsets[s+1]) and attends only within
+/// itself, causally. Returns the concatenated head outputs [R, D].
+/// `segment_offsets` starts at 0, ends at R, and strictly increases.
+///
+/// Per walk and head the forward runs q·kᵀ (kernels::MatMulTransB), the
+/// 1/√(D/heads) scale, the additive causal mask (−1e9 above the
+/// diagonal, +0 elsewhere), a row softmax and the matmul with v: the
+/// sequence the KV-cache decoder (nn/transformer.h) replays on one row,
+/// so the two agree bit for bit. A walk's output does not depend on the
+/// walks stacked with it.
+Var CausalSelfAttention(const Var& qkv,
+                        const std::vector<size_t>& segment_offsets,
+                        size_t heads);
+
 /// Columns [start, start+len) of a.
 Var SliceCols(const Var& a, size_t start, size_t len);
 

@@ -12,9 +12,7 @@ namespace fairgen::nn {
 
 MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
                                                Rng& rng)
-    : dim_(dim),
-      num_heads_(num_heads),
-      head_dim_(dim / num_heads),
+    : num_heads_(num_heads),
       qkv_(dim, 3 * dim, rng),
       out_(dim, dim, rng) {
   FAIRGEN_CHECK(dim % num_heads == 0)
@@ -22,31 +20,13 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
 }
 
 Var MultiHeadSelfAttention::Forward(const Var& x) const {
-  const size_t t_len = x->rows();
-  Var qkv = qkv_.Forward(x);  // [T, 3D]
+  return Forward(x, {0, x->rows()});
+}
 
-  // Causal additive mask: -inf above the diagonal.
-  Tensor mask(t_len, t_len);
-  for (size_t i = 0; i < t_len; ++i) {
-    for (size_t j = i + 1; j < t_len; ++j) {
-      mask.at(i, j) = -1e9f;
-    }
-  }
-  Var mask_var = MakeConstant(std::move(mask));
-
-  float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  std::vector<Var> head_outputs;
-  head_outputs.reserve(num_heads_);
-  for (size_t h = 0; h < num_heads_; ++h) {
-    Var q = SliceCols(qkv, h * head_dim_, head_dim_);
-    Var k = SliceCols(qkv, dim_ + h * head_dim_, head_dim_);
-    Var v = SliceCols(qkv, 2 * dim_ + h * head_dim_, head_dim_);
-    Var scores = Scale(MatMulTransBOp(q, k), scale);  // [T, T]
-    scores = Add(scores, mask_var);
-    Var probs = SoftmaxRows(scores);
-    head_outputs.push_back(MatMulOp(probs, v));  // [T, dh]
-  }
-  return out_.Forward(ConcatCols(head_outputs));
+Var MultiHeadSelfAttention::Forward(
+    const Var& x, const std::vector<size_t>& segment_offsets) const {
+  return out_.Forward(
+      CausalSelfAttention(qkv_.Forward(x), segment_offsets, num_heads_));
 }
 
 std::vector<Var> MultiHeadSelfAttention::Parameters() const {
@@ -63,8 +43,9 @@ TransformerBlock::TransformerBlock(size_t dim, size_t num_heads,
       ffn1_(dim, ffn_dim, rng),
       ffn2_(ffn_dim, dim, rng) {}
 
-Var TransformerBlock::Forward(const Var& x) const {
-  Var h = Add(x, attn_.Forward(ln1_.Forward(x)));
+Var TransformerBlock::Forward(
+    const Var& x, const std::vector<size_t>& segment_offsets) const {
+  Var h = Add(x, attn_.Forward(ln1_.Forward(x), segment_offsets));
   Var ffn = ffn2_.Forward(Gelu(ffn1_.Forward(ln2_.Forward(h))));
   return Add(h, ffn);
 }
@@ -93,23 +74,28 @@ TransformerLM::TransformerLM(const TransformerConfig& config, Rng& rng)
   }
 }
 
-namespace {
-// Hidden states [T, D] after the final layer norm.
-Var HiddenStates(const Embedding& tok, const Embedding& pos,
-                 const std::vector<std::unique_ptr<TransformerBlock>>& blocks,
-                 const LayerNorm& final_ln,
-                 const std::vector<uint32_t>& walk) {
-  std::vector<uint32_t> positions(walk.size());
-  for (size_t i = 0; i < walk.size(); ++i) {
-    positions[i] = static_cast<uint32_t>(i);
+Var TransformerLM::HiddenStates(
+    const std::vector<uint32_t>& tokens,
+    const std::vector<size_t>& segment_offsets) const {
+  std::vector<uint32_t> positions(tokens.size());
+  for (size_t s = 0; s + 1 < segment_offsets.size(); ++s) {
+    const size_t lo = segment_offsets[s];
+    const size_t hi = segment_offsets[s + 1];
+    FAIRGEN_CHECK(hi - lo <= config_.max_len)
+        << "walk length " << hi - lo << " exceeds max_len "
+        << config_.max_len;
+    for (size_t i = lo; i < hi; ++i) {
+      positions[i] = static_cast<uint32_t>(i - lo);
+    }
   }
-  Var x = Add(tok.Forward(walk), pos.Forward(positions));
-  for (const auto& block : blocks) {
-    x = block->Forward(x);
+  Var x = Add(tok_.Forward(tokens), pos_.Forward(positions));
+  for (const auto& block : blocks_) {
+    x = block->Forward(x, segment_offsets);
   }
-  return final_ln.Forward(x);
+  return final_ln_.Forward(x);
 }
 
+namespace {
 // Temperature-scaled categorical draw from a [vocab] logits row. Shared
 // by SampleNext and the KV-cache SampleWalk so the two paths consume the
 // rng stream identically. kernels::SoftmaxWeights gives the row max a
@@ -130,28 +116,45 @@ uint32_t SampleFromLogitsRow(const float* row, size_t vocab, Rng& rng,
 
 Var TransformerLM::Logits(const std::vector<uint32_t>& walk) const {
   FAIRGEN_CHECK(!walk.empty());
-  FAIRGEN_CHECK(walk.size() <= config_.max_len)
-      << "walk length " << walk.size() << " exceeds max_len "
-      << config_.max_len;
-  Var x = HiddenStates(tok_, pos_, blocks_, final_ln_, walk);
+  Var x = HiddenStates(walk, {0, walk.size()});
   // Tied output projection: logits = x · E^T.
   return MatMulTransBOp(x, tok_.table());
 }
 
 Var TransformerLM::NextLogits(const std::vector<uint32_t>& prefix) const {
   FAIRGEN_CHECK(!prefix.empty());
-  FAIRGEN_CHECK(prefix.size() <= config_.max_len);
-  Var x = HiddenStates(tok_, pos_, blocks_, final_ln_, prefix);
+  Var x = HiddenStates(prefix, {0, prefix.size()});
   return MatMulTransBOp(Row(x, x->rows() - 1), tok_.table());
 }
 
 Var TransformerLM::WalkNll(const std::vector<uint32_t>& walk) const {
-  FAIRGEN_CHECK(walk.size() >= 2);
-  // Row t predicts walk[t+1]; drop the last row.
-  std::vector<uint32_t> prefix(walk.begin(), walk.end() - 1);
-  std::vector<uint32_t> targets(walk.begin() + 1, walk.end());
-  Var logits = Logits(prefix);
-  return SequenceNll(logits, targets);
+  const TrainingWalk one{&walk, /*negative=*/false};
+  return WalkBatchLoss({&one, 1}, /*floor_logprob=*/0.0f, nullptr);
+}
+
+Var TransformerLM::WalkBatchLoss(std::span<const TrainingWalk> walks,
+                                 float floor_logprob,
+                                 std::vector<float>* walk_losses,
+                                 WalkLossWorkspace* workspace) const {
+  FAIRGEN_CHECK(!walks.empty());
+  // Row t of a walk's prefix predicts node t+1; the last node is only a
+  // target.
+  StackedWalkTargets batch;
+  batch.floor_logprob = floor_logprob;
+  batch.offsets.reserve(walks.size() + 1);
+  batch.offsets.push_back(0);
+  batch.negative.reserve(walks.size());
+  std::vector<uint32_t> tokens;
+  for (const TrainingWalk& walk : walks) {
+    const std::vector<uint32_t>& nodes = *walk.nodes;
+    FAIRGEN_CHECK(nodes.size() >= 2);
+    tokens.insert(tokens.end(), nodes.begin(), nodes.end() - 1);
+    batch.targets.insert(batch.targets.end(), nodes.begin() + 1, nodes.end());
+    batch.offsets.push_back(tokens.size());
+    batch.negative.push_back(walk.negative ? 1 : 0);
+  }
+  Var x = HiddenStates(tokens, batch.offsets);
+  return TiedWalkLoss(x, tok_.table(), batch, walk_losses, workspace);
 }
 
 uint32_t TransformerLM::SampleNext(const std::vector<uint32_t>& prefix,
@@ -170,23 +173,9 @@ std::vector<uint32_t> TransformerLM::SampleWalk(uint32_t start,
                                                 uint32_t length, Rng& rng,
                                                 float temperature) const {
   FAIRGEN_CHECK(start < config_.vocab_size);
-  std::vector<uint32_t> walk{start};
-  if (walk.size() >= length) return walk;
-  FAIRGEN_CHECK(temperature > 0.0f);
-  // Incremental decode: one KV-cached step per token instead of a full
-  // forward pass over the growing prefix. The decoder's logits are
-  // bitwise identical to NextLogits (see TransformerDecoder), and
-  // SampleFromLogitsRow consumes the rng stream exactly like SampleNext,
-  // so this produces the same walks as the SampleNext loop it replaced.
+  if (length <= 1) return {start};
   TransformerDecoder decoder(*this);
-  uint32_t cur = start;
-  while (walk.size() < length) {
-    const std::vector<float>& logits = decoder.Step(cur);
-    cur = SampleFromLogitsRow(logits.data(), config_.vocab_size, rng,
-                              temperature);
-    walk.push_back(cur);
-  }
-  return walk;
+  return decoder.SampleWalk(start, length, rng, temperature);
 }
 
 std::vector<Var> TransformerLM::Parameters() const {
@@ -204,8 +193,8 @@ std::vector<Var> TransformerLM::Parameters() const {
 // ---------------------------------------------------------------------------
 //
 // The single-row helpers below replay the exact floating-point operation
-// sequences of the ops.cc forwards they shadow (LayerNormRows,
-// SoftmaxForward, Gelu, AddRowBroadcast). Any change to those loops must
+// sequences of the ops.cc forwards they shadow (LayerNormRows, the
+// attention softmax of CausalSelfAttention, Gelu, AddRowBroadcast). Any change to those loops must
 // be mirrored here; the KvDecoderMatchesNextLogitsBitwise test pins the
 // equivalence.
 
@@ -232,7 +221,7 @@ void NormRow(const float* src, const float* g, const float* b, size_t cols,
   }
 }
 
-// SoftmaxForward on one row (float max, float exp, double total).
+// SoftmaxRowForward (float max, float exp, double total).
 void SoftmaxRow(const float* src, size_t cols, float* dst) {
   float max_val = src[0];
   for (size_t c = 1; c < cols; ++c) max_val = std::max(max_val, src[c]);
@@ -308,6 +297,30 @@ TransformerDecoder::TransformerDecoder(const TransformerLM& lm)
   concat_.resize(dim_);
   sub_.resize(std::max(dim_, cfg.ffn_dim));
   logits_.resize(cfg.vocab_size);
+}
+
+std::vector<uint32_t> TransformerDecoder::SampleWalk(uint32_t start,
+                                                     uint32_t length,
+                                                     Rng& rng,
+                                                     float temperature) {
+  const size_t vocab = lm_->config_.vocab_size;
+  FAIRGEN_CHECK(start < vocab);
+  std::vector<uint32_t> walk{start};
+  if (walk.size() >= length) return walk;
+  FAIRGEN_CHECK(temperature > 0.0f);
+  // Incremental decode: one KV-cached step per token instead of a full
+  // forward pass over the growing prefix. The logits are bitwise
+  // identical to NextLogits (see the class comment), and
+  // SampleFromLogitsRow consumes the rng stream exactly like SampleNext,
+  // so this produces the same walks as a SampleNext loop.
+  Reset();
+  uint32_t cur = start;
+  while (walk.size() < length) {
+    const std::vector<float>& logits = Step(cur);
+    cur = SampleFromLogitsRow(logits.data(), vocab, rng, temperature);
+    walk.push_back(cur);
+  }
+  return walk;
 }
 
 const std::vector<float>& TransformerDecoder::Step(uint32_t token) {

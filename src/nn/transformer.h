@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/layers.h"
+#include "nn/loss.h"
 #include "rng/rng.h"
 
 namespace fairgen::nn {
@@ -24,7 +26,8 @@ struct TransformerConfig {
   size_t max_len = 32;     ///< maximum walk length supported
 };
 
-/// \brief Causal multi-head self-attention over a [T, D] sequence.
+/// \brief Causal multi-head self-attention over sequences stacked
+/// row-wise.
 class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(size_t dim, size_t num_heads, Rng& rng);
@@ -33,14 +36,17 @@ class MultiHeadSelfAttention : public Module {
   /// to themselves and earlier positions.
   Var Forward(const Var& x) const;
 
+  /// The same over several sequences stacked in x's rows: sequence s owns
+  /// rows [segment_offsets[s], segment_offsets[s+1]) and attends only
+  /// within itself (see CausalSelfAttention).
+  Var Forward(const Var& x, const std::vector<size_t>& segment_offsets) const;
+
   std::vector<Var> Parameters() const override;
 
  private:
   friend class TransformerDecoder;
 
-  size_t dim_;
   size_t num_heads_;
-  size_t head_dim_;
   Linear qkv_;   // D -> 3D
   Linear out_;   // D -> D
 };
@@ -50,7 +56,8 @@ class TransformerBlock : public Module {
  public:
   TransformerBlock(size_t dim, size_t num_heads, size_t ffn_dim, Rng& rng);
 
-  Var Forward(const Var& x) const;
+  /// Sequences stacked row-wise, as in MultiHeadSelfAttention::Forward.
+  Var Forward(const Var& x, const std::vector<size_t>& segment_offsets) const;
 
   std::vector<Var> Parameters() const override;
 
@@ -64,8 +71,20 @@ class TransformerBlock : public Module {
   Linear ffn2_;
 };
 
+/// \brief One walk of a stacked training batch (see
+/// TransformerLM::WalkBatchLoss).
+struct TrainingWalk {
+  const std::vector<uint32_t>* nodes;  ///< the walk, at least two nodes
+  bool negative;  ///< scored by NegativeWalkPenalty instead of the NLL
+};
+
 /// \brief Causal transformer language model over node-id sequences
 /// (random walks): the generator architecture g_θ of Eq. 4.
+///
+/// Every forward runs walks stacked row-wise: one walk is a one-segment
+/// stack. All ops are row-wise except the attention core, which keeps
+/// each walk to itself, so a walk's values do not depend on what it is
+/// stacked with.
 class TransformerLM : public Module {
  public:
   TransformerLM(const TransformerConfig& config, Rng& rng);
@@ -83,13 +102,29 @@ class TransformerLM : public Module {
 
   /// Average negative log-likelihood −(1/(T−1)) Σ_t log g(w_t | w_<t) of a
   /// complete walk (the reconstruction term of Eq. 1), as a scalar Var.
+  /// Checks that every node is in the vocabulary.
   Var WalkNll(const std::vector<uint32_t>& walk) const;
+
+  /// The generator's training loss over a batch of walks, built as one
+  /// tape: the walks' prefixes are stacked into a (Σ T'_w)×D forward and
+  /// scored by the fused TiedWalkLoss. Positive walks contribute
+  /// WalkNll(walk); negative walks contribute NegativeWalkPenalty over
+  /// Logits(prefix) with `floor_logprob`. Returns the sum of the per-walk
+  /// losses; each value written to `walk_losses` (optional) is
+  /// bit-identical to the per-walk call. Backward of the sum gives the
+  /// sum of the per-walk gradients up to float summation order.
+  /// `workspace` (optional) keeps the [R, V] buffers across calls.
+  Var WalkBatchLoss(std::span<const TrainingWalk> walks, float floor_logprob,
+                    std::vector<float>* walk_losses,
+                    WalkLossWorkspace* workspace = nullptr) const;
 
   /// Samples the next node given a prefix; `temperature` scales logits.
   uint32_t SampleNext(const std::vector<uint32_t>& prefix, Rng& rng,
                       float temperature = 1.0f) const;
 
-  /// Samples a complete walk of `length` nodes from `start`.
+  /// Samples a complete walk of `length` nodes from `start`. Builds a
+  /// TransformerDecoder per call; loops that sample many walks should
+  /// keep one decoder and call its SampleWalk, which gives the same walks.
   std::vector<uint32_t> SampleWalk(uint32_t start, uint32_t length,
                                    Rng& rng, float temperature = 1.0f) const;
 
@@ -104,6 +139,12 @@ class TransformerLM : public Module {
 
  private:
   friend class TransformerDecoder;
+
+  /// Hidden states [R, D] after the final layer norm for the sequences
+  /// stacked in `tokens` (segments as in MultiHeadSelfAttention); each
+  /// segment's positions start at 0. Checks each segment ≤ max_len.
+  Var HiddenStates(const std::vector<uint32_t>& tokens,
+                   const std::vector<size_t>& segment_offsets) const;
 
   TransformerConfig config_;
   Embedding tok_;
@@ -150,6 +191,14 @@ class TransformerDecoder {
 
   /// Number of tokens consumed since construction / Reset().
   size_t length() const { return length_; }
+
+  /// Samples a complete walk of `length` nodes from `start` as a fresh
+  /// sequence (Reset() first). Same walk and rng consumption as
+  /// TransformerLM::SampleWalk, without rebuilding the decoder: the build
+  /// transposes the whole embedding table, a large share of a short
+  /// walk's decode time.
+  std::vector<uint32_t> SampleWalk(uint32_t start, uint32_t length, Rng& rng,
+                                   float temperature = 1.0f);
 
  private:
   struct HeadCache {

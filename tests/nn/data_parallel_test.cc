@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,9 +89,12 @@ struct ShardedModel {
   // One minibatch over `walks`; returns the master gradients.
   std::vector<std::vector<float>> Run(
       const std::vector<std::vector<uint32_t>>& walks, uint32_t threads) {
-    grads->Accumulate(walks.size(), threads, [&](size_t shard, size_t i) {
-      Backward(Shard(shard).WalkNll(walks[i]));
-    });
+    grads->Accumulate(walks.size(), threads,
+                      [&](size_t shard, size_t lo, size_t hi) {
+                        for (size_t i = lo; i < hi; ++i) {
+                          Backward(Shard(shard).WalkNll(walks[i]));
+                        }
+                      });
     return Grads(*master);
   }
 };
@@ -149,12 +153,34 @@ TEST(DataParallelGradsTest, GradientsAreThreadCountInvariant) {
   EXPECT_TRUE(BitwiseEqual(model.Run(walks, 4), serial));
 }
 
+TEST(DataParallelGradsTest, StackedShardTapesAreThreadCountInvariant) {
+  // The trainer's layout: each shard back-propagates its whole item range
+  // as one stacked tape, alternating positive and negative walks.
+  const auto walks = MakeWalks(11);
+  std::vector<TrainingWalk> items;
+  for (size_t i = 0; i < walks.size(); ++i) {
+    items.push_back({&walks[i], /*negative=*/i % 2 == 1});
+  }
+  ShardedModel model(3);
+  auto run = [&](uint32_t threads) {
+    model.grads->Accumulate(
+        items.size(), threads, [&](size_t shard, size_t lo, size_t hi) {
+          Backward(model.Shard(shard).WalkBatchLoss(
+              std::span(items).subspan(lo, hi - lo), -3.0f, nullptr));
+        });
+    return Grads(*model.master);
+  };
+  const auto serial = run(1);
+  EXPECT_TRUE(BitwiseEqual(run(2), serial));
+  EXPECT_TRUE(BitwiseEqual(run(4), serial));
+}
+
 TEST(DataParallelGradsTest, ReplicasSeeTheCurrentMasterValues) {
   ShardedModel model(3);
   // Move the master after construction; every shard must compute with
   // the moved values.
   for (const Var& p : model.master->Parameters()) p->value.Scale(0.5f);
-  model.grads->Accumulate(3, 2, [&](size_t shard, size_t) {
+  model.grads->Accumulate(3, 2, [&](size_t shard, size_t, size_t) {
     const std::vector<Var> mine = model.Shard(shard).Parameters();
     const std::vector<Var> master = model.master->Parameters();
     for (size_t i = 0; i < mine.size(); ++i) {
@@ -170,7 +196,7 @@ TEST(DataParallelGradsTest, EmptyBatchZeroesTheGradients) {
   const auto walks = MakeWalks(5);
   ShardedModel model(2);
   model.Run(walks, 2);
-  model.grads->Accumulate(0, 2, [](size_t, size_t) { FAIL(); });
+  model.grads->Accumulate(0, 2, [](size_t, size_t, size_t) { FAIL(); });
   for (const auto& grad : Grads(*model.master)) {
     for (float g : grad) EXPECT_EQ(g, 0.0f);
   }

@@ -110,6 +110,96 @@ TEST_F(KernelParityTest, MatMulTransBBitwiseAcrossDispatch) {
   }
 }
 
+// Same bits, where any NaN equals any NaN: which NaN payload survives an
+// add of two NaNs depends on operand order, which neither backend fixes.
+bool SameBitsOrBothNaN(const std::vector<float>& a,
+                       const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+// The AVX2 matmuls compute four rows of C per pass, the rest one by one.
+// Every row count from 1 to 9 (blocks plus each remainder) and the
+// stacked training batch (72 rows) against column counts with every tail
+// shape (16-wide blocks, one 8-wide block, scalar tails); A holds +0 and
+// −0 (both must be skipped per row, not per block) and B holds ±inf and
+// NaN (a skipped 0 · inf would otherwise add NaN).
+TEST_F(KernelParityTest, MatMulFourRowBlocksBitwise) {
+  Rng rng(107);
+  std::vector<size_t> row_counts{1, 2, 3, 4, 5, 6, 7, 8, 9, 72};
+  for (size_t m : row_counts) {
+    for (size_t n : {1u, 7u, 8u, 15u, 16u, 17u, 24u, 31u, 33u, 64u}) {
+      const size_t k = 11;
+      std::vector<float> a = RandomVector(m * k, rng);
+      std::vector<float> b = RandomVector(k * n, rng);
+      for (float& x : a) {
+        const double u = rng.UniformDouble();
+        if (u < 0.15) x = 0.0f;
+        else if (u < 0.3) x = -0.0f;
+      }
+      for (float& x : b) {
+        const double u = rng.UniformDouble();
+        if (u < 0.03) x = INFINITY;
+        else if (u < 0.06) x = -INFINITY;
+        else if (u < 0.08) x = NAN;
+      }
+      std::vector<float> c_scalar(m * n), c_avx2(m * n);
+      internal::ScalarTable().matmul(a.data(), b.data(), c_scalar.data(), m,
+                                     k, n);
+      internal::Avx2Table().matmul(a.data(), b.data(), c_avx2.data(), m, k,
+                                   n);
+      EXPECT_TRUE(SameBitsOrBothNaN(c_scalar, c_avx2))
+          << "matmul m=" << m << " n=" << n;
+      // MatMulTransA reads the same numbers as A[k, m].
+      std::vector<float> at(k * m);
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t p = 0; p < k; ++p) at[p * m + i] = a[i * k + p];
+      }
+      std::vector<float> t_scalar(m * n), t_avx2(m * n);
+      internal::ScalarTable().matmul_trans_a(at.data(), b.data(),
+                                             t_scalar.data(), m, k, n);
+      internal::Avx2Table().matmul_trans_a(at.data(), b.data(), t_avx2.data(),
+                                           m, k, n);
+      EXPECT_TRUE(SameBitsOrBothNaN(t_scalar, t_avx2))
+          << "matmul_trans_a m=" << m << " n=" << n;
+      EXPECT_TRUE(SameBitsOrBothNaN(t_scalar, c_scalar))
+          << "transposed A changed the result, m=" << m << " n=" << n;
+    }
+  }
+}
+
+// Without non-finite inputs the bits must match exactly, NaN rule aside,
+// at the training shape: 72 stacked rows against an ACM-sized vocabulary.
+TEST_F(KernelParityTest, MatMulTrainingShapesBitwise) {
+  Rng rng(108);
+  const Shape shapes[] = {{72, 64, 824}, {72, 824, 64}, {824, 72, 64}};
+  for (const Shape& s : shapes) {
+    std::vector<float> a = RandomVector(s.m * s.k, rng);
+    std::vector<float> b = RandomVector(s.k * s.n, rng);
+    SprinkleZeros(a, rng);
+    std::vector<float> c_scalar(s.m * s.n), c_avx2(s.m * s.n);
+    internal::ScalarTable().matmul(a.data(), b.data(), c_scalar.data(), s.m,
+                                   s.k, s.n);
+    internal::Avx2Table().matmul(a.data(), b.data(), c_avx2.data(), s.m, s.k,
+                                 s.n);
+    EXPECT_TRUE(BitwiseEqual(c_scalar, c_avx2))
+        << "m=" << s.m << " k=" << s.k << " n=" << s.n;
+    // The same A read as [m, k]ᵀ: C[k, n] = Aᵀ · B2[m, n].
+    std::vector<float> b2 = RandomVector(s.m * s.n, rng);
+    std::vector<float> t_scalar(s.k * s.n), t_avx2(s.k * s.n);
+    internal::ScalarTable().matmul_trans_a(a.data(), b2.data(),
+                                           t_scalar.data(), s.k, s.m, s.n);
+    internal::Avx2Table().matmul_trans_a(a.data(), b2.data(), t_avx2.data(),
+                                         s.k, s.m, s.n);
+    EXPECT_TRUE(BitwiseEqual(t_scalar, t_avx2))
+        << "trans_a m=" << s.k << " k=" << s.m << " n=" << s.n;
+  }
+}
+
 TEST_F(KernelParityTest, ElementwiseBitwise) {
   Rng rng(104);
   for (size_t len : {1u, 7u, 8u, 9u, 31u, 1000u}) {
@@ -176,6 +266,33 @@ TEST_F(KernelParityTest, SoftmaxNllBitwise) {
             << "rows=" << rows << " cols=" << cols
             << " masked=" << (row_mask != nullptr);
       }
+    }
+  }
+}
+
+// The fused walk loss writes the softmax over its logits in place; the
+// target logit must be read before its row is overwritten.
+TEST_F(KernelParityTest, SoftmaxNllInPlaceMatchesSeparateBuffers) {
+  Rng rng(109);
+  for (size_t cols : {1u, 7u, 9u, 824u}) {
+    const size_t rows = 5;
+    std::vector<float> logits = RandomVector(rows * cols, rng);
+    for (float& x : logits) x *= 10.0f;
+    std::vector<uint32_t> targets(rows);
+    for (uint32_t& t : targets) {
+      t = rng.UniformU32(static_cast<uint32_t>(cols));
+    }
+    for (const internal::KernelTable* table :
+         {&internal::ScalarTable(), &internal::Avx2Table()}) {
+      std::vector<float> probs(rows * cols);
+      const double separate = table->softmax_nll_forward(
+          logits.data(), rows, cols, targets.data(), probs.data());
+      std::vector<float> in_place = logits;
+      const double aliased = table->softmax_nll_forward(
+          in_place.data(), rows, cols, targets.data(), in_place.data());
+      EXPECT_EQ(std::memcmp(&separate, &aliased, sizeof(double)), 0)
+          << "cols=" << cols;
+      EXPECT_TRUE(BitwiseEqual(probs, in_place)) << "cols=" << cols;
     }
   }
 }
