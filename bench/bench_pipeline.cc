@@ -12,7 +12,6 @@
 // threshold (CI gates on this).
 
 #include <algorithm>
-#include <any>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -22,14 +21,10 @@
 #include "common/fileio.h"
 #include "common/memprobe.h"
 #include "common/strings.h"
-#include "common/trace.h"
 #include "core/assembler.h"
-#include "core/pipeline/pipeline.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
 #include "embed/node2vec.h"
-#include "generators/taggen.h"
-#include "generators/walk_lm.h"
 #include "graph/transition.h"
 #include "nn/kernels/kernels.h"
 #include "perf_harness.h"
@@ -106,7 +101,7 @@ int Run(const PipelineOptions& pipeline, const BenchOptions& options) {
       "walk_sampling", "node2vec_walks", "node2vec_train",
       "trainer_cycle", "generation",     "assembly",
       "end_to_end",    "micro_substrates_matmul",
-      "micro_substrates_alias", "pipeline_overlap"};
+      "micro_substrates_alias"};
   // The substrate microbenchmarks are tight, low-variance loops, so they
   // gate at 10% where the end-to-end stages keep the default threshold.
   harness.SetScenarioThreshold("micro_substrates_matmul", 0.10);
@@ -276,75 +271,6 @@ int Run(const PipelineOptions& pipeline, const BenchOptions& options) {
         sink += starts.Sample(rng);
       }
       return draws + (sink == ~uint64_t{0} ? 1 : 0);
-    });
-  }
-
-  if (enabled("pipeline_overlap")) {
-    // The DAG executor's streaming walk/score overlap in isolation: a
-    // source stage samples uniform-walk batches while a consumer scores
-    // the previous batch against a small fitted walk LM, hand-off through
-    // a bounded queue. Times the scheduler + queue machinery on top of
-    // real stage work; the LM fit itself is untimed setup.
-    TagGenConfig lm_cfg;
-    lm_cfg.train.walk_length = walk_length;
-    lm_cfg.train.num_walks = 120;
-    lm_cfg.train.epochs = 1;
-    lm_cfg.train.num_threads = options.threads;
-    TagGenGenerator lm(lm_cfg);
-    Rng lm_rng(options.seed + 4);
-    Status lm_status = lm.Fit(graph, lm_rng);
-    if (!lm_status.ok()) {
-      std::fprintf(stderr, "pipeline_overlap LM fit failed: %s\n",
-                   lm_status.ToString().c_str());
-      return 2;
-    }
-    harness.RunScenario("pipeline_overlap", [&] {
-      constexpr uint32_t kBatches = 6;
-      const uint32_t batch_walks = std::max<uint32_t>(32, walk_count / 4);
-      uint32_t produced = 0;
-      double nll_sum = 0.0;
-      pipeline::Pipeline dag("bench_overlap");
-      Status s = dag.AddStage(
-          {"sample_walks",
-           trace::Category::kWalk,
-           {},
-           {"batches"},
-           [&](pipeline::StageContext& ctx)
-               -> Result<pipeline::StepResult> {
-             RandomWalker walker(graph);
-             ctx.Push(0, walker.SampleUniformWalks(batch_walks, walk_length,
-                                                   ctx.rng(), 1));
-             return ++produced < kBatches ? pipeline::StepResult::kYield
-                                          : pipeline::StepResult::kDone;
-           }});
-      if (s.ok()) {
-        s = dag.AddStage(
-            {"score_walks",
-             trace::Category::kTrain,
-             {"batches"},
-             {},
-             [&](pipeline::StageContext& ctx)
-                 -> Result<pipeline::StepResult> {
-               if (!ctx.Has(0)) return pipeline::StepResult::kDone;
-               auto batch = std::any_cast<std::vector<Walk>>(ctx.Pop(0));
-               nll_sum += MeanWalkNll(*lm.model(), batch);
-               return pipeline::StepResult::kYield;
-             }});
-      }
-      pipeline::RunOptions run;
-      run.num_threads = options.threads;
-      Rng dag_rng(options.seed + 5);
-      run.rng = &dag_rng;
-      if (s.ok()) s = dag.Run(run);
-      if (!s.ok()) {
-        std::fprintf(stderr, "pipeline_overlap failed: %s\n",
-                     s.ToString().c_str());
-        std::exit(2);
-      }
-      // nll_sum is finite for any sane model; the checksum term keeps the
-      // scoring from being optimized away.
-      return static_cast<uint64_t>(kBatches) * batch_walks +
-             static_cast<uint64_t>(nll_sum != nll_sum);
     });
   }
 

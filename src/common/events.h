@@ -29,7 +29,7 @@ namespace events {
 /// fixed-size atomic array (the watchdog's stall rule reads them as a
 /// progress signature without taking the journal lock).
 enum class Type : int {
-  kStage = 0,    ///< pipeline stage transition (memprobe::Sample sites)
+  kStage = 0,    ///< run stage boundary (memprobe::Sample sites)
   kCheckpoint,   ///< training checkpoint written
   kAlert,        ///< watchdog rule fired (severity: warn | fatal)
   kProbe,        ///< in-training fairness probe result

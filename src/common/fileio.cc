@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -75,23 +76,10 @@ Status MakeDirectories(const std::string& path) {
   if (path.empty()) {
     return Status::InvalidArgument("empty directory path");
   }
-  std::string partial;
-  partial.reserve(path.size());
-  size_t i = 0;
-  while (i < path.size()) {
-    size_t next = path.find('/', i + 1);
-    if (next == std::string::npos) next = path.size();
-    partial = path.substr(0, next);
-    if (!partial.empty() && partial != "/" &&
-        ::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IOError("mkdir failed: " + partial + ": " +
-                             ::strerror(errno));
-    }
-    i = next;
-  }
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
-    return Status::IOError("not a directory: " + path);
+  std::error_code ec;
+  std::filesystem::create_directories(path, ec);
+  if (ec) {
+    return Status::IOError("mkdir failed: " + path + ": " + ec.message());
   }
   return Status::OK();
 }

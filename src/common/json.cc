@@ -37,13 +37,16 @@ class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Result<Value> ParseDocument() {
-    FAIRGEN_ASSIGN_OR_RETURN(Value v, ParseValue(0));
+  // Every parser writes its value into `out`, and Parse builds its
+  // Result around the value in place: moving the recursive variant
+  // through Result<Value> trips GCC 12's -Wmaybe-uninitialized.
+  Status ParseDocument(Value* out) {
+    FAIRGEN_RETURN_NOT_OK(ParseValue(0, out));
     SkipWhitespace();
     if (pos_ != text_.size()) {
       return Error("trailing characters after JSON value");
     }
-    return v;
+    return Status::OK();
   }
 
  private:
@@ -76,39 +79,45 @@ class Parser {
     return false;
   }
 
-  Result<Value> ParseValue(int depth) {
+  Status ParseValue(int depth, Value* out) {
     if (depth > kMaxDepth) return Error("nesting too deep");
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
-    char c = text_[pos_];
-    switch (c) {
+    switch (text_[pos_]) {
       case '{':
-        return ParseObject(depth);
+        return ParseObject(depth, out);
       case '[':
-        return ParseArray(depth);
+        return ParseArray(depth, out);
       case '"': {
         FAIRGEN_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return Value(std::move(s));
+        *out = Value(std::move(s));
+        return Status::OK();
       }
       case 't':
-        if (ConsumeLiteral("true")) return Value(true);
-        return Error("invalid literal");
+        return ParseLiteral("true", Value(true), out);
       case 'f':
-        if (ConsumeLiteral("false")) return Value(false);
-        return Error("invalid literal");
+        return ParseLiteral("false", Value(false), out);
       case 'n':
-        if (ConsumeLiteral("null")) return Value(nullptr);
-        return Error("invalid literal");
+        return ParseLiteral("null", Value(nullptr), out);
       default:
-        return ParseNumber();
+        return ParseNumber(out);
     }
   }
 
-  Result<Value> ParseObject(int depth) {
+  Status ParseLiteral(std::string_view literal, Value value, Value* out) {
+    if (!ConsumeLiteral(literal)) return Error("invalid literal");
+    *out = std::move(value);
+    return Status::OK();
+  }
+
+  Status ParseObject(int depth, Value* out) {
     ++pos_;  // consume '{'
     Object obj;
     SkipWhitespace();
-    if (Consume('}')) return Value(std::move(obj));
+    if (Consume('}')) {
+      *out = Value(std::move(obj));
+      return Status::OK();
+    }
     while (true) {
       SkipWhitespace();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
@@ -117,26 +126,33 @@ class Parser {
       FAIRGEN_ASSIGN_OR_RETURN(std::string key, ParseString());
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' after object key");
-      FAIRGEN_ASSIGN_OR_RETURN(Value v, ParseValue(depth + 1));
-      obj.insert_or_assign(std::move(key), std::move(v));
+      FAIRGEN_RETURN_NOT_OK(ParseValue(depth + 1, &obj[std::move(key)]));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume('}')) return Value(std::move(obj));
+      if (Consume('}')) {
+        *out = Value(std::move(obj));
+        return Status::OK();
+      }
       return Error("expected ',' or '}' in object");
     }
   }
 
-  Result<Value> ParseArray(int depth) {
+  Status ParseArray(int depth, Value* out) {
     ++pos_;  // consume '['
     Array arr;
     SkipWhitespace();
-    if (Consume(']')) return Value(std::move(arr));
+    if (Consume(']')) {
+      *out = Value(std::move(arr));
+      return Status::OK();
+    }
     while (true) {
-      FAIRGEN_ASSIGN_OR_RETURN(Value v, ParseValue(depth + 1));
-      arr.push_back(std::move(v));
+      FAIRGEN_RETURN_NOT_OK(ParseValue(depth + 1, &arr.emplace_back()));
       SkipWhitespace();
       if (Consume(',')) continue;
-      if (Consume(']')) return Value(std::move(arr));
+      if (Consume(']')) {
+        *out = Value(std::move(arr));
+        return Status::OK();
+      }
       return Error("expected ',' or ']' in array");
     }
   }
@@ -223,7 +239,7 @@ class Parser {
     return Error("unterminated string");
   }
 
-  Result<Value> ParseNumber() {
+  Status ParseNumber(Value* out) {
     size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size() &&
@@ -241,7 +257,8 @@ class Parser {
       pos_ = start;
       return Error("malformed number '" + token + "'");
     }
-    return Value(value);
+    *out = Value(value);
+    return Status::OK();
   }
 
   std::string_view text_;
@@ -251,7 +268,9 @@ class Parser {
 }  // namespace
 
 Result<Value> Parse(std::string_view text) {
-  return Parser(text).ParseDocument();
+  Result<Value> doc{Value()};
+  FAIRGEN_RETURN_NOT_OK(Parser(text).ParseDocument(&*doc));
+  return doc;
 }
 
 Result<Value> ParseFile(const std::string& path) {

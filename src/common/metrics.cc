@@ -25,14 +25,6 @@ std::string FormatValue(double v) {
   return std::string(buf);
 }
 
-// Full JSON string escaping via the shared common/strings helper: metric
-// names are usually dotted identifiers, but nothing stops a caller from
-// registering a name with quotes or control characters — the export must
-// stay valid JSON regardless.
-std::string JsonQuote(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
-}
-
 // Steady-clock offset from the trace epoch (same timeline as spans), for
 // SeriesPoint::ts_ns.
 uint64_t NowNsSinceTraceEpoch() {

@@ -177,4 +177,8 @@ std::string JsonEscape(std::string_view text) {
   return out;
 }
 
+std::string JsonQuote(std::string_view text) {
+  return "\"" + JsonEscape(text) + "\"";
+}
+
 }  // namespace fairgen

@@ -56,6 +56,10 @@ Result<uint64_t> ParseUint(std::string_view text,
 /// (metrics registry, span trace, Chrome trace, perf harness).
 std::string JsonEscape(std::string_view text);
 
+/// \brief `text` as a JSON string literal: JsonEscape plus the
+/// surrounding double quotes.
+std::string JsonQuote(std::string_view text);
+
 }  // namespace fairgen
 
 #endif  // FAIRGEN_COMMON_STRINGS_H_

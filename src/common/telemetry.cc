@@ -39,10 +39,6 @@ std::string FormatValue(double v) {
   return std::string(buf);
 }
 
-std::string JsonQuote(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
-}
-
 // Maps a dotted metric name onto the Prometheus name charset
 // [a-zA-Z0-9_:] and prefixes the exporter namespace.
 std::string PrometheusName(const std::string& name) {
@@ -53,22 +49,6 @@ std::string PrometheusName(const std::string& name) {
     out.push_back(ok ? c : '_');
   }
   return out;
-}
-
-// Creates `path` and any missing parents (mkdir -p).
-Status MkDirs(const std::string& path) {
-  if (path.empty()) return Status::InvalidArgument("empty directory path");
-  std::string partial;
-  for (const std::string& part : StrSplit(path, '/')) {
-    partial += part;
-    partial.push_back('/');
-    if (part.empty()) continue;  // leading '/' or '//'
-    if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IOError("mkdir failed: " + partial + ": " +
-                             std::strerror(errno));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -305,12 +285,6 @@ std::string SnapshotJson(const std::string& run_id, uint64_t sequence,
   return out;
 }
 
-Status WriteFileAtomic(const std::string& path, const std::string& text) {
-  // Shared temp+fsync+rename contract (common/fileio.h) — also used by
-  // the nn/core checkpoint writers.
-  return fairgen::WriteFileAtomic(path, text);
-}
-
 Publisher::Publisher(PublisherOptions options)
     : options_(std::move(options)) {}
 
@@ -340,7 +314,7 @@ Publisher::~Publisher() {
 
 Status Publisher::Init() {
   if (running()) return Status::FailedPrecondition("publisher already running");
-  FAIRGEN_RETURN_NOT_OK(MkDirs(options_.dir));
+  FAIRGEN_RETURN_NOT_OK(MakeDirectories(options_.dir));
 
   // Derive the run id and claim its directory; on a collision (two runs
   // starting within the same second on one host is rare but legal) append

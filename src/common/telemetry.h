@@ -66,12 +66,6 @@ std::string PrometheusText();
 std::string SnapshotJson(const std::string& run_id, uint64_t sequence,
                          uint64_t start_unix_ms);
 
-/// \brief Writes `text` to `path` atomically: the bytes go to
-/// `<path>.tmp` first and are `rename(2)`d over `path`, so a concurrent
-/// reader (tail, scrape collector, `fairgen_report` on a live run) never
-/// observes a torn file.
-Status WriteFileAtomic(const std::string& path, const std::string& text);
-
 /// \brief Configuration of one `Publisher`.
 struct PublisherOptions {
   /// Parent directory for run directories; created if absent. The

@@ -25,8 +25,10 @@ namespace watchdog {
 ///                           `explode_factor` x the best point
 ///   loss_plateau     warn   no new `trainer.total_loss` minimum in the
 ///                           last `plateau_cycles` recorded cycles
-///   stage_stall      warn   no progress (cycles, stage/checkpoint/probe
-///                           events) for `stall_ticks` consecutive ticks
+///   stage_stall      warn   no progress for `stall_ticks` consecutive
+///                           ticks; progress counts `trainer.cycles`
+///                           and the journal's `stage` (memprobe
+///                           samples), checkpoint and probe events
 ///   rss_budget       fatal  process RSS above `rss_budget_mb` for
 ///                           `rss_debounce_ticks` consecutive ticks
 ///   spans_dropped    warn   tracer ring or profiler SPSC rings dropped
@@ -65,7 +67,9 @@ struct Options {
   uint32_t plateau_cycles = 25;
   /// `loss_exploding` threshold relative to the best recorded loss.
   double explode_factor = 1000.0;
-  /// `stage_stall` window in publisher ticks without any progress.
+  /// `stage_stall` window in publisher ticks without any progress. A
+  /// self-paced cycle emits nothing until it ends (its generator step is
+  /// most of the cycle), so the window must outlast the longest cycle.
   uint32_t stall_ticks = 120;
   /// `fairness_drift`: relative growth factor of the disparity gap...
   double drift_factor = 2.0;

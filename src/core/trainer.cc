@@ -1,7 +1,6 @@
 #include "core/trainer.h"
 
 #include <algorithm>
-#include <any>
 #include <array>
 #include <cmath>
 #include <cstdlib>
@@ -17,9 +16,9 @@
 #include "common/fileio.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/trace.h"
 #include "core/checkpoint.h"
-#include "core/pipeline/pipeline.h"
 #include "generators/walk_lm.h"
 #include "nn/serialize.h"
 #include "graph/subgraph.h"
@@ -412,135 +411,60 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
     }
     FairGenLosses losses;
 
-    // Steps 4–11 as a per-cycle dependency DAG on the shared pool
-    // (core/pipeline): the generator update (step 4) runs alone in its
-    // wave, so its data-parallel minibatches get the whole pool, and the
-    // negative refresh (step 6) runs concurrently with the self-paced
-    // label update (steps 7–8). The port edges serialize every read/write
-    // pair on shared trainer state — the walk dataset (read by the
-    // generator update, mutated by dataset_update), the sampler's label
-    // vectors (read by sample_walks, mutated by self_paced), and the
-    // shared embedding table (read by negatives/self_paced, mutated by
-    // the discriminator step). Each stage draws from its own SplitRngs
-    // stream (derived from `rng` in stage-insertion order), so the
-    // trajectory is bitwise independent of the thread count, and `rng`
-    // advances a fixed number of draws per cycle, so FGCKPT2 resume
-    // re-derives identical streams at every cycle boundary.
+    // Steps 4–11, one after another. `rng` is split into one stream per
+    // step, in step order: sample_walks, generator, negatives (when
+    // refreshed), self_paced (with SPL), dataset_update, discriminator.
+    // self_paced and dataset_update draw nothing, but their streams are
+    // still split: the count 4 + refresh + spl fixes how far `rng`
+    // advances per cycle, which keeps the trajectory and FGCKPT2 resume
+    // unchanged.
     const bool refresh = config_.refresh_negatives;
     const bool spl = has_supervision() &&
                      config_.variant != FairGenVariant::kNoSelfPaced;
-    pipeline::Pipeline cycle_dag("trainer");
-    // Step 5: new positives with the current self-paced vectors (the
-    // cycle's label update lands after this sample, exactly like the
-    // sequential ordering: sample first, then SetLabels).
-    FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-        {"sample_walks",
-         trace::Category::kWalk,
-         {},
-         {"positives", "sampler_idle"},
-         [&](pipeline::StageContext& ctx)
-             -> Result<pipeline::StepResult> {
-           ctx.Push(0, sampler_->SampleBatch(config_.num_walks, ctx.rng()));
-           ctx.Push(1, true);
-           return pipeline::StepResult::kDone;
-         }}));
-    // Step 4: update g_θ from N+ and N−. Ordered after sample_walks only
-    // to keep it alone in its wave: a lone stage runs on the calling
-    // thread outside any parallel region, where the minibatch shards can
-    // use the pool (a pool call nested in a busy wave runs serially).
-    FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-        {"generator",
-         trace::Category::kTrain,
-         {"sampler_idle"},
-         {"generator_ready"},
-         [&](pipeline::StageContext& ctx)
-             -> Result<pipeline::StepResult> {
-           losses.j_g = TrainGenerator(ctx.rng());
-           ctx.Push(0, true);
-           return pipeline::StepResult::kDone;
-         }}));
+    std::vector<Rng> streams = SplitRngs(rng, 4 + refresh + spl);
+
+    // Step 5: new positives with the current self-paced vectors, sampled
+    // before this cycle's label update.
+    std::vector<Walk> positives;
+    {
+      trace::ScopedSpan step_span("trainer.sample_walks",
+                                  trace::Category::kWalk);
+      positives = sampler_->SampleBatch(config_.num_walks, streams[0]);
+    }
+    // Step 4: update g_θ from N+ and N− (this cycle's walks join below).
+    losses.j_g = TrainGenerator(streams[1]);
     // Step 6: new negatives from the updated generator (skipped by the
     // negative-refresh ablation, which keeps the static [32] negatives).
+    std::vector<Walk> negatives;
     if (refresh) {
-      FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-          {"negatives",
-           trace::Category::kWalk,
-           {"generator_ready"},
-           {"negative_walks", "negatives_done"},
-           [&](pipeline::StageContext& ctx)
-               -> Result<pipeline::StepResult> {
-             ctx.Push(0,
-                      SampleGeneratorWalks(config_.num_walks, ctx.rng()));
-             ctx.Push(1, true);
-             return pipeline::StepResult::kDone;
-           }}));
+      trace::ScopedSpan step_span("trainer.negatives",
+                                  trace::Category::kWalk);
+      negatives = SampleGeneratorWalks(config_.num_walks, streams[2]);
     }
     // Steps 7–8: augment λ and refresh the self-paced vectors / pseudo
     // labels (skipped by the w/o-SPL ablation).
     if (spl) {
-      FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-          {"self_paced",
-           trace::Category::kTrain,
-           {"generator_ready", "sampler_idle"},
-           {"labels_ready"},
-           [&](pipeline::StageContext& ctx)
-               -> Result<pipeline::StepResult> {
-             scheduler.Augment();
-             SelfPacedUpdate update =
-                 scheduler.Update(model_->fair_module().LogProbaAll(),
-                                  ground_truth_, config_.beta);
-             labels_ = std::move(update.labels);
-             num_pseudo_labeled_ = update.num_pseudo_labeled;
-             losses.j_l = update.j_l / std::max<size_t>(1, labels_.size());
-             losses.j_s = update.j_s / std::max<size_t>(1, labels_.size());
-             FAIRGEN_RETURN_NOT_OK(sampler_->SetLabels(labels_));
-             ctx.Push(0, true);
-             return pipeline::StepResult::kDone;
-           }}));
+      trace::ScopedSpan step_span("trainer.self_paced",
+                                  trace::Category::kTrain);
+      scheduler.Augment();
+      SelfPacedUpdate update =
+          scheduler.Update(model_->fair_module().LogProbaAll(),
+                           ground_truth_, config_.beta);
+      labels_ = std::move(update.labels);
+      num_pseudo_labeled_ = update.num_pseudo_labeled;
+      losses.j_l = update.j_l / std::max<size_t>(1, labels_.size());
+      losses.j_s = update.j_s / std::max<size_t>(1, labels_.size());
+      FAIRGEN_RETURN_NOT_OK(sampler_->SetLabels(labels_));
     }
-    // Steps 5–6 commit: fold the freshly sampled pools into the dataset.
-    // Ordered after the generator update (which trains on the *previous*
-    // pools) via negative_walks / generator_ready.
-    FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-        {"dataset_update",
-         trace::Category::kGeneral,
-         refresh ? std::vector<std::string>{"positives", "negative_walks"}
-                 : std::vector<std::string>{"positives", "generator_ready"},
-         {},
-         [&](pipeline::StageContext& ctx)
-             -> Result<pipeline::StepResult> {
-           dataset_.AddPositives(
-               std::any_cast<std::vector<Walk>>(ctx.Pop(0)));
-           if (refresh) {
-             dataset_.AddNegatives(
-                 std::any_cast<std::vector<Walk>>(ctx.Pop(1)));
-             refresh_counter.Increment();
-           }
-           dataset_.TrimTo(4 * config_.num_walks);
-           return pipeline::StepResult::kDone;
-         }}));
-    // Steps 9–11: discriminator updates (J_P + J_L + J_F). Mutates the
-    // shared embedding table, so it is ordered after every reader of the
-    // current cycle (negatives, self_paced).
-    {
-      std::vector<std::string> disc_inputs;
-      disc_inputs.push_back(spl ? "labels_ready" : "generator_ready");
-      if (refresh) disc_inputs.push_back("negatives_done");
-      FAIRGEN_RETURN_NOT_OK(cycle_dag.AddStage(
-          {"discriminator",
-           trace::Category::kTrain,
-           std::move(disc_inputs),
-           {},
-           [&](pipeline::StageContext& ctx)
-               -> Result<pipeline::StepResult> {
-             TrainDiscriminator(losses, ctx.rng());
-             return pipeline::StepResult::kDone;
-           }}));
+    // Steps 5–6 commit: fold the fresh pools into the dataset.
+    dataset_.AddPositives(std::move(positives));
+    if (refresh) {
+      dataset_.AddNegatives(std::move(negatives));
+      refresh_counter.Increment();
     }
-    pipeline::RunOptions dag_options;
-    dag_options.num_threads = config_.num_threads;
-    dag_options.rng = &rng;
-    FAIRGEN_RETURN_NOT_OK(cycle_dag.Run(dag_options));
+    dataset_.TrimTo(4 * config_.num_walks);
+    // Steps 9–11: discriminator updates (J_P + J_L + J_F).
+    TrainDiscriminator(losses, streams.back());
 
     loss_history_.push_back(losses);
 

@@ -255,7 +255,9 @@ TEST_F(MetricsTest, SeriesSnapshotIsSortedAndComplete) {
   ASSERT_GE(snap.size(), 2u);
   bool saw_a = false;
   for (size_t i = 0; i < snap.size(); ++i) {
-    if (i > 0) EXPECT_LT(snap[i - 1].first, snap[i].first);
+    if (i > 0) {
+      EXPECT_LT(snap[i - 1].first, snap[i].first);
+    }
     if (snap[i].first == "test.seriessnap.a") {
       saw_a = true;
       ASSERT_EQ(snap[i].second.size(), 1u);

@@ -83,8 +83,7 @@ TEST(ParallelForTest, NestedCallsRunInline) {
 TEST(ThreadPoolTest, SingleTaskRunsOutsideAnyParallelRegion) {
   // A lone task runs inline on the caller without entering a parallel
   // region, so a pool call it makes still fans out instead of running
-  // serially (the trainer keeps its generator stage alone in its DAG wave
-  // for this reason).
+  // serially.
   bool outer_in_region = true;
   std::atomic<size_t> nested_in_region{0};
   ThreadPool::Global().Run(1, 4, [&](size_t) {

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/events.h"
+#include "common/fileio.h"
 #include "common/json.h"
 #include "common/metrics.h"
 

@@ -38,7 +38,7 @@ TEST_F(TraceTest, RecordsWallAndCpuTime) {
     // Burn a little CPU so cpu_ns has a chance to be non-zero; correctness
     // here only requires wall >= 0 and the span to appear.
     volatile double x = 0.0;
-    for (int i = 0; i < 100000; ++i) x += static_cast<double>(i) * 1e-9;
+    for (int i = 0; i < 100000; ++i) x = x + static_cast<double>(i) * 1e-9;
   }
   std::vector<SpanRecord> spans = Tracer::Global().Snapshot();
   ASSERT_EQ(spans.size(), 1u);

@@ -134,7 +134,9 @@ TEST(DeterminismTest, FairGenEdgeScoresAreThreadCountInvariant) {
 // The generator minibatches are sharded across the pool, and the shard
 // replicas are reused from cycle to cycle; with an odd batch size every
 // batch splits raggedly. The model must still be the same at every
-// thread count.
+// thread count, with and without supervision. The supervised inputs run
+// the self-paced step and the discriminator, and together they cover
+// every per-cycle RNG stream count 4 + refresh + spl.
 TEST(DeterminismTest, FairGenShardedTrainingIsThreadCountInvariant) {
   Rng data_rng(6);
   SyntheticGraphConfig cfg;
@@ -143,25 +145,58 @@ TEST(DeterminismTest, FairGenShardedTrainingIsThreadCountInvariant) {
   cfg.num_classes = 2;
   auto data = GenerateSynthetic(cfg, data_rng);
   ASSERT_TRUE(data.ok());
+  Rng label_rng(21);
+  const std::vector<int32_t> few_shot = FewShotLabels(*data, 4, label_rng);
+  // Eight nodes of class 1 form the protected set, so the parity term runs.
+  std::vector<NodeId> protected_set;
+  for (NodeId v = 0; v < data->labels.size() && protected_set.size() < 8;
+       ++v) {
+    if (data->labels[v] == 1) protected_set.push_back(v);
+  }
 
-  ExpectSameAcrossThreadCounts([&](uint32_t threads) {
-    FairGenConfig fairgen;
-    fairgen.num_walks = 40;
-    fairgen.self_paced_cycles = 2;
-    fairgen.generator_epochs = 1;
-    fairgen.generator_batch = 7;
-    fairgen.gen_transition_multiplier = 2.0;
-    fairgen.embedding_dim = 16;
-    fairgen.ffn_dim = 32;
-    fairgen.num_threads = threads;
-    FairGenTrainer trainer(fairgen);
-    Rng fit_rng(19);
-    EXPECT_TRUE(trainer.Fit(data->graph, fit_rng).ok());
-    Rng score_rng(20);
-    auto scored = trainer.ScoreEdges(score_rng);
-    EXPECT_TRUE(scored.ok());
-    return SortedScores(*std::move(scored));
-  });
+  struct Input {
+    const char* name;
+    bool supervised;
+    FairGenVariant variant;
+    bool refresh_negatives;
+  };
+  const Input inputs[] = {
+      {"unsupervised", false, FairGenVariant::kFull, true},
+      {"supervised", true, FairGenVariant::kFull, true},
+      {"supervised_nospl", true, FairGenVariant::kNoSelfPaced, true},
+      {"supervised_static_negatives", true, FairGenVariant::kFull, false},
+      {"supervised_nospl_static_negatives", true,
+       FairGenVariant::kNoSelfPaced, false},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    ExpectSameAcrossThreadCounts([&](uint32_t threads) {
+      FairGenConfig fairgen;
+      fairgen.num_walks = 40;
+      fairgen.self_paced_cycles = 2;
+      fairgen.generator_epochs = 1;
+      fairgen.generator_batch = 7;
+      fairgen.gen_transition_multiplier = 2.0;
+      fairgen.embedding_dim = 16;
+      fairgen.ffn_dim = 32;
+      fairgen.variant = input.variant;
+      fairgen.refresh_negatives = input.refresh_negatives;
+      fairgen.num_threads = threads;
+      FairGenTrainer trainer(fairgen);
+      if (input.supervised) {
+        EXPECT_TRUE(trainer
+                        .SetSupervision(few_shot, protected_set,
+                                        data->num_classes)
+                        .ok());
+      }
+      Rng fit_rng(19);
+      EXPECT_TRUE(trainer.Fit(data->graph, fit_rng).ok());
+      Rng score_rng(20);
+      auto scored = trainer.ScoreEdges(score_rng);
+      EXPECT_TRUE(scored.ok());
+      return SortedScores(*std::move(scored));
+    });
+  }
 }
 
 TEST(DeterminismTest, MmdIsThreadCountInvariant) {

@@ -18,14 +18,12 @@
 //   --cycles=<n>         self-paced cycles (default 4)
 //   --epochs=<n>         generator epochs per cycle (default 2)
 
-#include <any>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,7 +36,6 @@
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "common/watchdog.h"
-#include "core/pipeline/pipeline.h"
 #include "core/trainer.h"
 #include "generators/ba.h"
 #include "generators/er.h"
@@ -445,210 +442,90 @@ struct SignalTrainerScope {
   }
 };
 
-// The top-level generate command as a pipeline DAG. The master rng is
-// captured by the stages that consume it (fit before generate, enforced by
-// the port edges), not split per stage: the draw sequence — and therefore
-// the output graph for a given seed — is byte-identical to the old
-// sequential code. --save-model rides in its own stage so checkpoint
-// serialization overlaps graph generation.
+// Fit (or restore), optionally save, generate, write — in that order.
+// The master rng runs through fit and then generate unsplit, so a seed
+// names one output graph. Saving draws no rng, and it finishes before
+// generation starts, so Generate gets the whole thread pool.
 Status RunGenerate(const Options& opts) {
   if (opts.out_path.empty()) {
     return Status::InvalidArgument("generate requires --out=<file>");
   }
-  std::optional<Graph> graph;
-  std::unique_ptr<GraphGenerator> model;
-  FairGenTrainer* fairgen_trainer = nullptr;
-  std::optional<SignalTrainerScope> signal_scope;
+  FAIRGEN_ASSIGN_OR_RETURN(Graph graph, LoadEdgeList(opts.edges_path));
+  memprobe::Sample("load");
+  FAIRGEN_ASSIGN_OR_RETURN(std::unique_ptr<GraphGenerator> model,
+                           BuildModel(opts, graph));
+  auto* fairgen_trainer = dynamic_cast<FairGenTrainer*>(model.get());
+  SignalTrainerScope signal_scope(fairgen_trainer);
   Rng rng(opts.seed);
-  std::optional<Graph> generated;
 
-  pipeline::Pipeline dag("cli");
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"load_graph",
-       trace::Category::kGeneral,
-       {},
-       {"graph_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(graph, LoadEdgeList(opts.edges_path));
-         memprobe::Sample("load");
-         FAIRGEN_ASSIGN_OR_RETURN(model, BuildModel(opts, *graph));
-         fairgen_trainer = dynamic_cast<FairGenTrainer*>(model.get());
-         signal_scope.emplace(fairgen_trainer);
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"fit_model",
-       trace::Category::kTrain,
-       {"graph_ready"},
-       {"model_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         if (!opts.load_model_path.empty()) {
-           if (fairgen_trainer == nullptr) {
-             return Status::InvalidArgument(
-                 "--load-model is only supported for fairgen* models");
-           }
-           FAIRGEN_RETURN_NOT_OK(fairgen_trainer->Prepare(*graph, rng));
-           FAIRGEN_RETURN_NOT_OK(
-               fairgen_trainer->LoadCheckpoint(opts.load_model_path));
-           std::fprintf(stderr, "restored checkpoint %s\n",
-                        opts.load_model_path.c_str());
-         } else {
-           std::fprintf(stderr, "fitting %s on n=%u m=%llu...\n",
-                        model->name().c_str(), graph->num_nodes(),
-                        static_cast<unsigned long long>(graph->num_edges()));
-           FAIRGEN_RETURN_NOT_OK(model->Fit(*graph, rng));
-         }
-         memprobe::Sample("fit");
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  if (!opts.save_model_path.empty()) {
-    FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-        {"save_model",
-         trace::Category::kGeneral,
-         {"model_ready"},
-         {},
-         [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-           (void)ctx;
-           if (fairgen_trainer == nullptr) {
-             return Status::InvalidArgument(
-                 "--save-model is only supported for fairgen* models");
-           }
-           FAIRGEN_RETURN_NOT_OK(
-               fairgen_trainer->SaveCheckpoint(opts.save_model_path));
-           std::fprintf(stderr, "saved checkpoint %s\n",
-                        opts.save_model_path.c_str());
-           return pipeline::StepResult::kDone;
-         }}));
+  if (!opts.load_model_path.empty()) {
+    if (fairgen_trainer == nullptr) {
+      return Status::InvalidArgument(
+          "--load-model is only supported for fairgen* models");
+    }
+    FAIRGEN_RETURN_NOT_OK(fairgen_trainer->Prepare(graph, rng));
+    FAIRGEN_RETURN_NOT_OK(
+        fairgen_trainer->LoadCheckpoint(opts.load_model_path));
+    std::fprintf(stderr, "restored checkpoint %s\n",
+                 opts.load_model_path.c_str());
+  } else {
+    std::fprintf(stderr, "fitting %s on n=%u m=%llu...\n",
+                 model->name().c_str(), graph.num_nodes(),
+                 static_cast<unsigned long long>(graph.num_edges()));
+    FAIRGEN_RETURN_NOT_OK(model->Fit(graph, rng));
   }
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"generate_graph",
-       trace::Category::kGenerate,
-       {"model_ready"},
-       {"generated_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(generated, model->Generate(rng));
-         memprobe::Sample("generate");
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"write_output",
-       trace::Category::kGeneral,
-       {"generated_ready"},
-       {},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         (void)ctx;
-         FAIRGEN_RETURN_NOT_OK(SaveEdgeList(*generated, opts.out_path));
-         std::printf("wrote %llu edges to %s\n",
-                     static_cast<unsigned long long>(generated->num_edges()),
-                     opts.out_path.c_str());
-         return pipeline::StepResult::kDone;
-       }}));
+  memprobe::Sample("fit");
 
-  pipeline::RunOptions run;
-  run.num_threads = opts.threads;
-  return dag.Run(run);
+  if (!opts.save_model_path.empty()) {
+    if (fairgen_trainer == nullptr) {
+      return Status::InvalidArgument(
+          "--save-model is only supported for fairgen* models");
+    }
+    FAIRGEN_RETURN_NOT_OK(
+        fairgen_trainer->SaveCheckpoint(opts.save_model_path));
+    std::fprintf(stderr, "saved checkpoint %s\n",
+                 opts.save_model_path.c_str());
+  }
+
+  FAIRGEN_ASSIGN_OR_RETURN(Graph generated, model->Generate(rng));
+  memprobe::Sample("generate");
+  FAIRGEN_RETURN_NOT_OK(SaveEdgeList(generated, opts.out_path));
+  std::printf("wrote %llu edges to %s\n",
+              static_cast<unsigned long long>(generated.num_edges()),
+              opts.out_path.c_str());
+  return Status::OK();
 }
 
-// The evaluate command as a pipeline DAG: the overall and protected
-// discrepancy passes both read (graph, generated) immutably and draw no rng,
-// so they score in parallel once generation lands; the report stage joins
-// their rows in fixed order so the printed table is stable.
+// Fit, generate, then print the overall (and, with --protected, the
+// protected-set) discrepancy rows.
 Status RunEvaluate(const Options& opts) {
-  std::optional<Graph> graph;
-  std::unique_ptr<GraphGenerator> model;
-  std::optional<SignalTrainerScope> signal_scope;
+  FAIRGEN_ASSIGN_OR_RETURN(Graph graph, LoadEdgeList(opts.edges_path));
+  FAIRGEN_ASSIGN_OR_RETURN(std::unique_ptr<GraphGenerator> model,
+                           BuildModel(opts, graph));
+  SignalTrainerScope signal_scope(
+      dynamic_cast<FairGenTrainer*>(model.get()));
   Rng rng(opts.seed);
-  std::optional<Graph> generated;
-  const bool has_protected = !opts.protected_path.empty();
+  FAIRGEN_RETURN_NOT_OK(model->Fit(graph, rng));
+  FAIRGEN_ASSIGN_OR_RETURN(Graph generated, model->Generate(rng));
 
-  pipeline::Pipeline dag("cli");
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"load_graph",
-       trace::Category::kGeneral,
-       {},
-       {"graph_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(graph, LoadEdgeList(opts.edges_path));
-         FAIRGEN_ASSIGN_OR_RETURN(model, BuildModel(opts, *graph));
-         signal_scope.emplace(dynamic_cast<FairGenTrainer*>(model.get()));
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"fit_model",
-       trace::Category::kTrain,
-       {"graph_ready"},
-       {"model_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_RETURN_NOT_OK(model->Fit(*graph, rng));
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"generate_graph",
-       trace::Category::kGenerate,
-       {"model_ready"},
-       {"generated_ready"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(generated, model->Generate(rng));
-         ctx.Push(0, true);
-         return pipeline::StepResult::kDone;
-       }}));
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"eval_overall",
-       trace::Category::kEval,
-       {"generated_ready"},
-       {"overall_row"},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         FAIRGEN_ASSIGN_OR_RETURN(auto overall,
-                                  OverallDiscrepancy(*graph, *generated));
-         ctx.Push(0, std::vector<double>(overall.begin(), overall.end()));
-         return pipeline::StepResult::kDone;
-       }}));
-  if (has_protected) {
-    FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-        {"eval_protected",
-         trace::Category::kEval,
-         {"generated_ready"},
-         {"protected_row"},
-         [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-           FAIRGEN_ASSIGN_OR_RETURN(
-               auto protected_set,
-               LoadNodeSet(opts.protected_path, graph->num_nodes()));
-           FAIRGEN_ASSIGN_OR_RETURN(
-               auto prot,
-               ProtectedDiscrepancy(*graph, *generated, protected_set));
-           ctx.Push(0, std::vector<double>(prot.begin(), prot.end()));
-           return pipeline::StepResult::kDone;
-         }}));
+  std::vector<std::string> header{"scope"};
+  for (const auto& name : MetricNames()) header.push_back(name);
+  Table table(header);
+  FAIRGEN_ASSIGN_OR_RETURN(auto overall,
+                           OverallDiscrepancy(graph, generated));
+  table.AddRow("overall R",
+               std::vector<double>(overall.begin(), overall.end()));
+  if (!opts.protected_path.empty()) {
+    FAIRGEN_ASSIGN_OR_RETURN(
+        auto protected_set,
+        LoadNodeSet(opts.protected_path, graph.num_nodes()));
+    FAIRGEN_ASSIGN_OR_RETURN(
+        auto prot, ProtectedDiscrepancy(graph, generated, protected_set));
+    table.AddRow("protected R+",
+                 std::vector<double>(prot.begin(), prot.end()));
   }
-  std::vector<std::string> report_inputs{"overall_row"};
-  if (has_protected) report_inputs.push_back("protected_row");
-  FAIRGEN_RETURN_NOT_OK(dag.AddStage(
-      {"report",
-       trace::Category::kGeneral,
-       report_inputs,
-       {},
-       [&](pipeline::StageContext& ctx) -> Result<pipeline::StepResult> {
-         std::vector<std::string> header{"scope"};
-         for (const auto& name : MetricNames()) header.push_back(name);
-         Table table(header);
-         table.AddRow("overall R",
-                      std::any_cast<std::vector<double>>(ctx.Pop(0)));
-         if (has_protected) {
-           table.AddRow("protected R+",
-                        std::any_cast<std::vector<double>>(ctx.Pop(1)));
-         }
-         std::printf("%s\n", table.ToAscii().c_str());
-         return pipeline::StepResult::kDone;
-       }}));
-
-  pipeline::RunOptions run;
-  run.num_threads = opts.threads;
-  return dag.Run(run);
+  std::printf("%s\n", table.ToAscii().c_str());
+  return Status::OK();
 }
 
 Status RunCore(const Options& opts) {

@@ -40,10 +40,6 @@
 namespace fairgen::doctor {
 namespace {
 
-std::string JsonQuote(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
-}
-
 struct RuleWindow {
   std::string severity;  // worst seen: "fatal" beats "warn"
   uint32_t count = 0;
