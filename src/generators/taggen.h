@@ -33,6 +33,11 @@ class TagGenGenerator : public WalkLMGenerator<nn::TransformerLM> {
   std::unique_ptr<nn::TransformerLM> BuildModel(const Graph& graph,
                                                 Rng& rng) override;
 
+  /// One KV decoder per budget chunk instead of one per walk: building a
+  /// decoder transposes the whole embedding table. Same walks as the
+  /// per-walk sampler.
+  WalkSampler NewChunkSampler() const override;
+
  private:
   TagGenConfig taggen_config_;
 };

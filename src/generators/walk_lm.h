@@ -147,6 +147,19 @@ class WalkLMGenerator : public GraphGenerator {
   /// Constructs the sequence model for a graph with n nodes.
   virtual std::unique_ptr<LM> BuildModel(const Graph& graph, Rng& rng) = 0;
 
+  /// The walk sampler of one AccumulateWalks budget chunk, built on the
+  /// worker that runs the chunk. This one draws each walk with
+  /// `model_->SampleWalk` from a degree-proportional start; a model whose
+  /// per-walk setup is costly overrides it to keep that state for the
+  /// whole chunk (TagGen's KV decoder), drawing the same walks.
+  virtual WalkSampler NewChunkSampler() const {
+    return [this](Rng& worker_rng) {
+      uint32_t start = start_table_->Sample(worker_rng);
+      return model_->SampleWalk(start, config_.walk_length, worker_rng,
+                                config_.temperature);
+    };
+  }
+
   /// Samples walks from the trained model into a score accumulator
   /// (the B matrix of Sec. II-D) on the shared deterministic parallel
   /// runtime: `config_.num_threads` only changes wall-clock, never the
@@ -157,11 +170,7 @@ class WalkLMGenerator : public GraphGenerator {
         static_cast<double>(fitted_graph_.num_edges()));
     return AccumulateWalkScores(
         fitted_graph_.num_nodes(), target_transitions, config_.num_threads,
-        rng, [this](Rng& worker_rng) {
-          uint32_t start = start_table_->Sample(worker_rng);
-          return model_->SampleWalk(start, config_.walk_length, worker_rng,
-                                    config_.temperature);
-        });
+        rng, [this] { return NewChunkSampler(); });
   }
 
   void ScaleGrads(float factor) {

@@ -196,9 +196,14 @@ void SoftmaxNllBackward(const float* probs, const uint32_t* targets,
                                dlogits);
 }
 
-void SoftmaxWeights(const float* logits, size_t n, float temperature,
-                    double* weights) {
-  Table().softmax_weights(logits, n, temperature, weights);
+double CategoricalWeights(const float* logits, size_t n, float temperature,
+                          float* weights, double* block_sums) {
+  return Table().categorical_weights(logits, n, temperature, weights,
+                                     block_sums);
+}
+
+void Gelu(const float* x, size_t n, float* y, float* one_plus_tanh) {
+  Table().gelu(x, n, y, one_plus_tanh);
 }
 
 }  // namespace fairgen::nn::kernels

@@ -1,6 +1,7 @@
-// The float exp polynomial and the 8-lane reduction order shared by the
-// scalar and AVX2 backends of the vocab-wide softmax kernels
-// (`SoftmaxNllForward`, `SoftmaxWeights`).
+// The float exp polynomial, the GELU built on it, and the 8-lane
+// reduction order shared by the scalar and AVX2 backends of the
+// vocab-wide softmax kernels (`SoftmaxNllForward`, `CategoricalWeights`)
+// and of `Gelu`.
 //
 // Both backends must produce the same bits, so this header fixes every
 // step that a lane performs. kernels_scalar.cc runs the scalar helpers
@@ -18,8 +19,11 @@
 #define FAIRGEN_NN_KERNELS_EXP_POLY_H_
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+
+#include "nn/kernels/kernels.h"
 
 namespace fairgen::nn::kernels::internal {
 namespace {
@@ -82,6 +86,18 @@ inline float ExpPoly(float x) {
                               << 23;
   const float scale = std::bit_cast<float>(scale_bits);
   return x < kExpLo ? 0.0f : y * scale;
+}
+
+// 1 + tanh(z) of the GELU at x, z = √(2/π)·(x + 0.044715·x³). With
+// e = e^(−2|z|), on ExpPoly's x ≤ 0 domain for every z, 1 + tanh(|z|) is
+// 2 / (1 + e), and 1 + tanh(−|z|) = 1 − tanh(|z|) is e times that, which
+// keeps the small values of the negative side free of cancellation. Both
+// ends saturate cleanly: e = 0 gives 2 and 0, e = 1 (z = ±0) gives 1.
+inline float GeluOnePlusTanh(float x) {
+  const float z = kGeluSqrt2OverPi * (x + kGeluCubic * x * x * x);
+  const float e = ExpPoly(-2.0f * std::fabs(z));
+  const float s = 2.0f / (1.0f + e);
+  return z < 0.0f ? e * s : s;
 }
 
 // The fixed fold of eight lane partials: lanes k and k+4 first (the two

@@ -117,13 +117,37 @@ void AdamUpdate(float* value, const float* grad, float* m, float* v,
 double SoftmaxNllForward(const float* logits, size_t rows, size_t cols,
                          const uint32_t* targets, float* probs);
 
-/// Unnormalised sampling weights of one logits row:
-/// weights[j] = exp((logits[j] − m) / temperature) with m the row max,
-/// by the same max reduction and exp polynomial as `SoftmaxNllForward`.
-/// The row max gets exactly 1 and a −inf logit exactly 0; a NaN logit
-/// gives a NaN weight. `temperature` must be positive.
-void SoftmaxWeights(const float* logits, size_t n, float temperature,
-                    double* weights);
+/// Elements per block of `CategoricalWeights`' block sums.
+inline constexpr size_t kDrawBlock = 64;
+
+/// Number of blocks `CategoricalWeights` writes for a row of n logits.
+inline constexpr size_t DrawBlocks(size_t n) {
+  return (n + kDrawBlock - 1) / kDrawBlock;
+}
+
+/// Weights of a categorical draw from one logits row:
+/// weights[j] = exp((logits[j] − m) / temperature) with m the row max, by
+/// the same max reduction and exp polynomial as `SoftmaxNllForward`. The
+/// row max gets exactly 1, a −inf logit exactly 0, and a NaN logit a NaN
+/// weight. Also writes block_sums[b], the double sum of weights
+/// [b·kDrawBlock, (b+1)·kDrawBlock) in eight lane partials folded by
+/// `FoldSum` (exp_poly.h), and returns the in-order total of the
+/// `DrawBlocks(n)` block sums. `temperature` must be positive. A pick
+/// then scans the block sums and one block instead of the whole row (see
+/// nn/categorical.h).
+double CategoricalWeights(const float* logits, size_t n, float temperature,
+                          float* weights, double* block_sums);
+
+/// The tanh GELU of the transformer FFN, y = ½·x·(1 + tanh(z)) with
+/// z = √(2/π)·(x + 0.044715·x³). 1 + tanh(z) comes from the exp
+/// polynomial as 2 / (1 + e^(−2|z|)), times e^(−2|z|) for z < 0, and is
+/// written to `one_plus_tanh` for the backward pass. `y` may alias `x`.
+void Gelu(const float* x, size_t n, float* y, float* one_plus_tanh);
+
+/// √(2/π) and the cubic coefficient of the GELU above; the backward pass
+/// in nn/ops.cc differentiates the same z.
+inline constexpr float kGeluSqrt2OverPi = 0.7978845608028654f;
+inline constexpr float kGeluCubic = 0.044715f;
 
 /// Backward of the fused op: dlogits[r,j] += gscale · (probs[r,j] −
 /// 1{j == targets[r]}) for every row r in [0, rows) with row_mask[r]
@@ -150,7 +174,9 @@ struct KernelTable {
                                 float*);
   void (*softmax_nll_backward)(const float*, const uint32_t*, const uint8_t*,
                                float, size_t, size_t, float*);
-  void (*softmax_weights)(const float*, size_t, float, double*);
+  double (*categorical_weights)(const float*, size_t, float, float*,
+                                double*);
+  void (*gelu)(const float*, size_t, float*, float*);
   void (*adam_update)(float*, const float*, float*, float*, size_t,
                       const AdamStepParams&);
 };

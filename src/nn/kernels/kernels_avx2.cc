@@ -320,22 +320,75 @@ double SoftmaxNllForwardAvx2(const float* logits, size_t rows, size_t cols,
   return total;
 }
 
-void SoftmaxWeightsAvx2(const float* logits, size_t n, float temperature,
-                        double* weights) {
+// CategoricalWeightsScalar block by block: within a block, element j
+// goes to lane j % kLanes (blocks start at multiples of 64), and the
+// ragged tail of the last block continues the same lanes.
+double CategoricalWeightsAvx2(const float* logits, size_t n,
+                              float temperature, float* weights,
+                              double* block_sums) {
   const float max_v = RowMaxAvx2(logits, n);
   const __m256 vmax = _mm256_set1_ps(max_v);
   const __m256 vtemp = _mm256_set1_ps(temperature);
-  size_t j = 0;
-  for (; j + kLanes <= n; j += kLanes) {
-    const __m256 e = ExpPoly8(_mm256_div_ps(
-        _mm256_sub_ps(_mm256_loadu_ps(logits + j), vmax), vtemp));
-    __m256d e_lo, e_hi;
-    WidenToDouble(e, &e_lo, &e_hi);
-    _mm256_storeu_pd(weights + j, e_lo);
-    _mm256_storeu_pd(weights + j + 4, e_hi);
+  double total = 0.0;
+  for (size_t b0 = 0; b0 < n; b0 += kDrawBlock) {
+    const size_t b1 = std::min(n, b0 + kDrawBlock);
+    __m256d sum_lo = _mm256_setzero_pd();
+    __m256d sum_hi = _mm256_setzero_pd();
+    size_t j = b0;
+    for (; j + kLanes <= b1; j += kLanes) {
+      const __m256 e = ExpPoly8(_mm256_div_ps(
+          _mm256_sub_ps(_mm256_loadu_ps(logits + j), vmax), vtemp));
+      _mm256_storeu_ps(weights + j, e);
+      __m256d e_lo, e_hi;
+      WidenToDouble(e, &e_lo, &e_hi);
+      sum_lo = _mm256_add_pd(sum_lo, e_lo);
+      sum_hi = _mm256_add_pd(sum_hi, e_hi);
+    }
+    alignas(32) double sums[kLanes];
+    _mm256_store_pd(sums, sum_lo);
+    _mm256_store_pd(sums + 4, sum_hi);
+    for (; j < b1; ++j) {
+      weights[j] = ExpPoly((logits[j] - max_v) / temperature);
+      sums[j % kLanes] += weights[j];
+    }
+    const double block_sum = FoldSum(sums);
+    block_sums[b0 / kDrawBlock] = block_sum;
+    total += block_sum;
   }
-  for (; j < n; ++j) {
-    weights[j] = ExpPoly((logits[j] - max_v) / temperature);
+  return total;
+}
+
+// GeluOnePlusTanh (exp_poly.h) on eight lanes. |z| clears the sign bit
+// as std::fabs does; the ordered z < 0 compare is false for NaN, which
+// keeps the NaN of s, as the scalar select does.
+inline __m256 GeluOnePlusTanh8(__m256 x) {
+  const __m256 cubic = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(kGeluCubic), x), x), x);
+  const __m256 z =
+      _mm256_mul_ps(_mm256_set1_ps(kGeluSqrt2OverPi), _mm256_add_ps(x, cubic));
+  const __m256 abs_z = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), z);
+  const __m256 e = ExpPoly8(_mm256_mul_ps(_mm256_set1_ps(-2.0f), abs_z));
+  const __m256 s = _mm256_div_ps(_mm256_set1_ps(2.0f),
+                                 _mm256_add_ps(_mm256_set1_ps(1.0f), e));
+  return _mm256_blendv_ps(
+      s, _mm256_mul_ps(e, s),
+      _mm256_cmp_ps(z, _mm256_setzero_ps(), _CMP_LT_OQ));
+}
+
+void GeluAvx2(const float* x, size_t n, float* y, float* one_plus_tanh) {
+  const __m256 half = _mm256_set1_ps(0.5f);
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    const __m256 xi = _mm256_loadu_ps(x + i);
+    const __m256 t = GeluOnePlusTanh8(xi);
+    _mm256_storeu_ps(one_plus_tanh + i, t);
+    _mm256_storeu_ps(y + i, _mm256_mul_ps(_mm256_mul_ps(half, xi), t));
+  }
+  for (; i < n; ++i) {
+    const float xi = x[i];
+    const float t = GeluOnePlusTanh(xi);
+    one_plus_tanh[i] = t;
+    y[i] = 0.5f * xi * t;
   }
 }
 
@@ -406,7 +459,8 @@ const KernelTable& Avx2Table() {
       &ScaleAvx2,
       &SoftmaxNllForwardAvx2,
       &SoftmaxNllBackwardAvx2,
-      &SoftmaxWeightsAvx2,
+      &CategoricalWeightsAvx2,
+      &GeluAvx2,
       &AdamUpdateAvx2,
   };
   return table;

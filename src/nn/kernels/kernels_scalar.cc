@@ -7,9 +7,10 @@
 // *nesting* may differ — this file panels columns for cache locality
 // while kernels_avx2.cc register-blocks the accumulators — because
 // regrouping which outputs are updated together has no numeric effect.
-// The softmax kernels reduce along a row instead; they keep one partial
-// per AVX2 lane and fold the eight in a fixed order (exp_poly.h), so the
-// scalar loops below replay the vector reduction exactly.
+// The softmax and categorical-draw kernels reduce along a row instead;
+// they keep one partial per AVX2 lane and fold the eight in a fixed order
+// (exp_poly.h), so the scalar loops below replay the vector reduction
+// exactly.
 // Change the per-element sequence in one file, change both, and let
 // tests/nn/kernels_test.cc arbitrate.
 
@@ -117,11 +118,31 @@ double SoftmaxNllForwardScalar(const float* logits, size_t rows, size_t cols,
   return total;
 }
 
-void SoftmaxWeightsScalar(const float* logits, size_t n, float temperature,
-                          double* weights) {
+double CategoricalWeightsScalar(const float* logits, size_t n,
+                                float temperature, float* weights,
+                                double* block_sums) {
   const float max_v = RowMaxScalar(logits, n);
-  for (size_t j = 0; j < n; ++j) {
-    weights[j] = ExpPoly((logits[j] - max_v) / temperature);
+  double total = 0.0;
+  for (size_t b0 = 0; b0 < n; b0 += kDrawBlock) {
+    const size_t b1 = std::min(n, b0 + kDrawBlock);
+    double sums[kLanes] = {};
+    for (size_t j = b0; j < b1; ++j) {
+      weights[j] = ExpPoly((logits[j] - max_v) / temperature);
+      sums[j % kLanes] += weights[j];
+    }
+    const double block_sum = FoldSum(sums);
+    block_sums[b0 / kDrawBlock] = block_sum;
+    total += block_sum;
+  }
+  return total;
+}
+
+void GeluScalar(const float* x, size_t n, float* y, float* one_plus_tanh) {
+  for (size_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    const float t = GeluOnePlusTanh(xi);
+    one_plus_tanh[i] = t;
+    y[i] = 0.5f * xi * t;
   }
 }
 
@@ -162,7 +183,8 @@ const KernelTable& ScalarTable() {
       &ScaleScalarImpl,
       &SoftmaxNllForwardScalar,
       &SoftmaxNllBackwardScalar,
-      &SoftmaxWeightsScalar,
+      &CategoricalWeightsScalar,
+      &GeluScalar,
       &AdamUpdateScalar,
   };
   return table;

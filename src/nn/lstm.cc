@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/categorical.h"
 #include "nn/loss.h"
-#include "rng/sampling.h"
 
 namespace fairgen::nn {
 
@@ -84,21 +84,8 @@ uint32_t LstmLM::SampleNext(const std::vector<uint32_t>& prefix, Rng& rng,
   NoGradScope no_grad;
   std::vector<Var> states = RunStates(prefix);
   Var logits = out_.Forward(states.back());
-  const float* row = logits->value.row(0);
-  float max_val = row[0];
-  for (size_t i = 1; i < config_.vocab_size; ++i) {
-    max_val = std::max(max_val, row[i]);
-  }
-  std::vector<double> weights(config_.vocab_size);
-  for (size_t i = 0; i < config_.vocab_size; ++i) {
-    weights[i] = std::exp((row[i] - max_val) / temperature);
-  }
-  // exp(row - max) keeps the max weight at 1, but NaN logits can still
-  // poison the total; SampleDiscrete then degrades to a uniform in-range
-  // pick, so `pick` is always a valid token.
-  uint32_t pick = SampleDiscrete(weights, rng);
-  FAIRGEN_CHECK(pick < config_.vocab_size);
-  return pick;
+  return SampleLogitsRow(logits->value.row(0), config_.vocab_size,
+                         temperature, rng);
 }
 
 std::vector<uint32_t> LstmLM::SampleWalk(uint32_t start, uint32_t length,
@@ -111,24 +98,12 @@ std::vector<uint32_t> LstmLM::SampleWalk(uint32_t start, uint32_t length,
   std::vector<uint32_t> walk{start};
   Var h = cell_.ZeroState();
   Var c = cell_.ZeroState();
-  std::vector<double> weights(config_.vocab_size);
   while (walk.size() < length) {
     Var x = tok_.Forward({walk.back()});
     std::tie(h, c) = cell_.Step(x, h, c);
     Var logits = out_.Forward(h);
-    const float* row = logits->value.row(0);
-    float max_val = row[0];
-    for (size_t i = 1; i < config_.vocab_size; ++i) {
-      max_val = std::max(max_val, row[i]);
-    }
-    for (size_t i = 0; i < config_.vocab_size; ++i) {
-      weights[i] = std::exp((row[i] - max_val) / temperature);
-    }
-    // Degenerate (NaN-poisoned) softmax weights fall back to a uniform
-    // in-range pick inside SampleDiscrete.
-    uint32_t pick = SampleDiscrete(weights, rng);
-    FAIRGEN_CHECK(pick < config_.vocab_size);
-    walk.push_back(pick);
+    walk.push_back(SampleLogitsRow(logits->value.row(0), config_.vocab_size,
+                                   temperature, rng));
   }
   return walk;
 }

@@ -11,8 +11,6 @@ namespace fairgen::nn {
 using internal::MakeOpNode;
 
 namespace {
-constexpr float kSqrt2OverPi = 0.7978845608028654f;
-
 // Softmax of one row (float max, libm exp, double total). `dst` may be
 // `src`. The KV-cache decoder replays this loop (nn/transformer.cc).
 void SoftmaxRowForward(const float* src, size_t cols, float* dst) {
@@ -174,27 +172,22 @@ Var SigmoidOp(const Var& a) {
 }
 
 Var Gelu(const Var& a) {
-  Tensor out = a->value;
-  // Cache tanh(inner) for the backward pass: the libm tanh is the most
-  // expensive part of the gradient and is recomputed bit-identically
-  // otherwise.
-  auto tanhs = std::make_shared<std::vector<float>>(out.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    float x = out.data()[i];
-    float inner = kSqrt2OverPi * (x + 0.044715f * x * x * x);
-    float t = std::tanh(inner);
-    (*tanhs)[i] = t;
-    out.data()[i] = 0.5f * x * (1.0f + t);
-  }
+  Tensor out(a->rows(), a->cols());
+  // The kernel also returns 1 + tanh(z) for the backward pass, where
+  // 1 − tanh² = (2 − (1 + tanh))·(1 + tanh).
+  auto one_plus_tanh = std::make_shared<std::vector<float>>(out.size());
+  kernels::Gelu(a->value.data(), out.size(), out.data(),
+                one_plus_tanh->data());
   return MakeOpNode(
       std::move(out), {a},
-      [tanhs = std::move(tanhs)](Node& n) {
+      [one_plus_tanh = std::move(one_plus_tanh)](Node& n) {
         Node* p = n.parents[0].get();
         for (size_t i = 0; i < n.grad.size(); ++i) {
           float x = p->value.data()[i];
-          float t = (*tanhs)[i];
-          float dinner = kSqrt2OverPi * (1.0f + 3.0f * 0.044715f * x * x);
-          float dy = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
+          float t1 = (*one_plus_tanh)[i];
+          float dinner = kernels::kGeluSqrt2OverPi *
+                         (1.0f + 3.0f * kernels::kGeluCubic * x * x);
+          float dy = 0.5f * t1 + 0.5f * x * ((2.0f - t1) * t1) * dinner;
           p->grad.data()[i] += n.grad.data()[i] * dy;
         }
       },

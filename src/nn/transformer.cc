@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/categorical.h"
 #include "nn/kernels/kernels.h"
 #include "nn/loss.h"
-#include "rng/sampling.h"
 
 namespace fairgen::nn {
 
@@ -95,25 +95,6 @@ Var TransformerLM::HiddenStates(
   return final_ln_.Forward(x);
 }
 
-namespace {
-// Temperature-scaled categorical draw from a [vocab] logits row. Shared
-// by SampleNext and the KV-cache SampleWalk so the two paths consume the
-// rng stream identically. kernels::SoftmaxWeights gives the row max a
-// weight of exactly 1 and a −inf logit exactly 0, but a NaN logit still
-// poisons the total; SampleDiscrete then degrades to a uniform in-range
-// pick, so the result is always a valid token. The weights live in a
-// per-thread buffer reused across tokens.
-uint32_t SampleFromLogitsRow(const float* row, size_t vocab, Rng& rng,
-                             float temperature) {
-  static thread_local std::vector<double> weights;
-  weights.resize(vocab);
-  kernels::SoftmaxWeights(row, vocab, temperature, weights.data());
-  uint32_t pick = SampleDiscrete(weights, rng);
-  FAIRGEN_CHECK(pick < vocab);
-  return pick;
-}
-}  // namespace
-
 Var TransformerLM::Logits(const std::vector<uint32_t>& walk) const {
   FAIRGEN_CHECK(!walk.empty());
   Var x = HiddenStates(walk, {0, walk.size()});
@@ -165,8 +146,8 @@ uint32_t TransformerLM::SampleNext(const std::vector<uint32_t>& prefix,
   // identical with or without the tape).
   NoGradScope no_grad;
   Var logits = NextLogits(prefix);
-  return SampleFromLogitsRow(logits->value.row(0), config_.vocab_size, rng,
-                             temperature);
+  return SampleLogitsRow(logits->value.row(0), config_.vocab_size,
+                         temperature, rng);
 }
 
 std::vector<uint32_t> TransformerLM::SampleWalk(uint32_t start,
@@ -194,14 +175,12 @@ std::vector<Var> TransformerLM::Parameters() const {
 //
 // The single-row helpers below replay the exact floating-point operation
 // sequences of the ops.cc forwards they shadow (LayerNormRows, the
-// attention softmax of CausalSelfAttention, Gelu, AddRowBroadcast). Any change to those loops must
-// be mirrored here; the KvDecoderMatchesNextLogitsBitwise test pins the
-// equivalence.
+// attention softmax of CausalSelfAttention, AddRowBroadcast). Any change
+// to those loops must be mirrored here; the
+// KvDecoderMatchesNextLogitsBitwise test pins the equivalence. The GELU
+// needs no copy: Gelu and the decoder both call kernels::Gelu.
 
 namespace {
-// Keep in sync with ops.cc (Gelu).
-constexpr float kSqrt2OverPiDecode = 0.7978845608028654f;
-
 // LayerNormRows forward on one row, eps = LayerNorm's default 1e-5f.
 void NormRow(const float* src, const float* g, const float* b, size_t cols,
              float* dst) {
@@ -232,15 +211,6 @@ void SoftmaxRow(const float* src, size_t cols, float* dst) {
   }
   float inv = static_cast<float>(1.0 / total);
   for (size_t c = 0; c < cols; ++c) dst[c] *= inv;
-}
-
-// Gelu forward on one row.
-void GeluRow(float* row, size_t cols) {
-  for (size_t i = 0; i < cols; ++i) {
-    float x = row[i];
-    float inner = kSqrt2OverPiDecode * (x + 0.044715f * x * x * x);
-    row[i] = 0.5f * x * (1.0f + std::tanh(inner));
-  }
 }
 
 // AddRowBroadcast on one row; Linear skips the add when bias is null.
@@ -296,6 +266,7 @@ TransformerDecoder::TransformerDecoder(const TransformerLM& lm)
   probs_.resize(cfg.max_len);
   concat_.resize(dim_);
   sub_.resize(std::max(dim_, cfg.ffn_dim));
+  gelu_tanh_.resize(cfg.ffn_dim);
   logits_.resize(cfg.vocab_size);
 }
 
@@ -310,14 +281,13 @@ std::vector<uint32_t> TransformerDecoder::SampleWalk(uint32_t start,
   FAIRGEN_CHECK(temperature > 0.0f);
   // Incremental decode: one KV-cached step per token instead of a full
   // forward pass over the growing prefix. The logits are bitwise
-  // identical to NextLogits (see the class comment), and
-  // SampleFromLogitsRow consumes the rng stream exactly like SampleNext,
-  // so this produces the same walks as a SampleNext loop.
+  // identical to NextLogits (see the class comment), and both draw with
+  // SampleLogitsRow, so this produces the same walks as a SampleNext loop.
   Reset();
   uint32_t cur = start;
   while (walk.size() < length) {
     const std::vector<float>& logits = Step(cur);
-    cur = SampleFromLogitsRow(logits.data(), vocab, rng, temperature);
+    cur = SampleLogitsRow(logits.data(), vocab, temperature, rng);
     walk.push_back(cur);
   }
   return walk;
@@ -380,7 +350,7 @@ const std::vector<float>& TransformerDecoder::Step(uint32_t token) {
     kernels::MatMul(norm_.data(), block.ffn1_.weight()->value.data(),
                     sub_.data(), 1, dim_, cfg.ffn_dim);
     AddBiasRow(sub_.data(), block.ffn1_.bias(), cfg.ffn_dim);
-    GeluRow(sub_.data(), cfg.ffn_dim);
+    kernels::Gelu(sub_.data(), cfg.ffn_dim, sub_.data(), gelu_tanh_.data());
     kernels::MatMul(sub_.data(), block.ffn2_.weight()->value.data(),
                     norm_.data(), 1, cfg.ffn_dim, dim_);
     AddBiasRow(norm_.data(), block.ffn2_.bias(), dim_);

@@ -169,6 +169,8 @@ class TransformerLM : public Module {
 ///    that row;
 ///  - cached K/V rows equal recomputed ones because the weights are
 ///    frozen while decoding;
+///  - the FFN's GELU is the same elementwise `kernels::Gelu` call as in
+///    the training forward (nn::Gelu);
 ///  - the causal-mask add contributes exactly +0.0f on the surviving row,
 ///    which the decoder replays verbatim (x + 0.0f is not an FP identity
 ///    for -0.0, and the softmax consumes the same bits either way).
@@ -231,6 +233,7 @@ class TransformerDecoder {
   std::vector<float> probs_;    // [max_len]
   std::vector<float> concat_;   // [dim] concatenated head outputs
   std::vector<float> sub_;      // [max(dim, ffn_dim)] sublayer output
+  std::vector<float> gelu_tanh_;  // [ffn_dim] kernels::Gelu's 1 + tanh
   std::vector<float> logits_;   // [vocab]
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include "data/synthetic.h"
 #include "generators/netgan.h"
 #include "generators/taggen.h"
@@ -66,6 +67,54 @@ TEST(TagGenGeneratorTest, FitGenerateRoundTrip) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_nodes(), 60u);
   EXPECT_GT(out->num_edges(), 0u);
+}
+
+// TagGen with the base template's sampler: TransformerLM::SampleWalk
+// per walk, which builds a KV decoder for every walk.
+class PerWalkTagGen : public TagGenGenerator {
+ public:
+  using TagGenGenerator::TagGenGenerator;
+
+ protected:
+  WalkSampler NewChunkSampler() const override {
+    return WalkLMGenerator<nn::TransformerLM>::NewChunkSampler();
+  }
+};
+
+// TagGen keeps one decoder per budget chunk; its releases and edge
+// scores must be byte-identical to the per-walk path at 1 and 3 threads.
+TEST(TagGenGeneratorTest, ChunkDecoderMatchesPerWalkSampling) {
+  LabeledGraph data = SmallGraph(8);
+  for (uint32_t threads : {1u, 3u}) {
+    TagGenConfig cfg;
+    cfg.train = QuickBudget();
+    cfg.train.num_threads = threads;
+    cfg.dim = 16;
+    cfg.num_heads = 2;
+    TagGenGenerator chunked(cfg);
+    PerWalkTagGen per_walk(cfg);
+    Rng fit_a(8), fit_b(8);
+    ASSERT_TRUE(chunked.Fit(data.graph, fit_a).ok());
+    ASSERT_TRUE(per_walk.Fit(data.graph, fit_b).ok());
+
+    Rng gen_a(9), gen_b(9);
+    auto a = chunked.Generate(gen_a);
+    auto b = per_walk.Generate(gen_b);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->ToEdgeList(), b->ToEdgeList()) << "threads=" << threads;
+
+    auto scores_a = chunked.ScoreEdges(gen_a);
+    auto scores_b = per_walk.ScoreEdges(gen_b);
+    ASSERT_TRUE(scores_a.ok() && scores_b.ok());
+    ASSERT_EQ(scores_a->size(), scores_b->size());
+    for (size_t i = 0; i < scores_a->size(); ++i) {
+      EXPECT_EQ((*scores_a)[i].first, (*scores_b)[i].first);
+      EXPECT_EQ(std::memcmp(&(*scores_a)[i].second, &(*scores_b)[i].second,
+                            sizeof(double)),
+                0)
+          << "edge " << i << " threads=" << threads;
+    }
+  }
 }
 
 TEST(WalkLMGeneratorTest, GenerateBeforeFitFails) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/categorical.h"
 #include "nn/kernels/exp_poly.h"
 #include "rng/rng.h"
 
@@ -297,38 +298,128 @@ TEST_F(KernelParityTest, SoftmaxNllInPlaceMatchesSeparateBuffers) {
   }
 }
 
-TEST_F(KernelParityTest, SoftmaxWeightsBitwise) {
+// Same bits, or both NaN: a NaN's payload may come from either operand
+// of the op that made it, which the two backends need not order alike.
+template <typename T>
+bool SameBitsOrBothNan(T a, T b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+// Draw-kernel widths: inside one vector, one lane group, one block less
+// one, exactly one block, one block plus one, and FLICKR's vocabulary.
+const size_t kDrawWidths[] = {1, 7, 8, 63, 64, 65, 1136};
+
+// Runs categorical_weights from both tables, expects the same bits in
+// the weights, the block sums and the total, and returns the scalar
+// weights (and, when asked, block sums and total).
+std::vector<float> CategoricalViaBothTables(const std::vector<float>& logits,
+                                            float temperature,
+                                            std::vector<double>* sums_out,
+                                            double* total_out) {
+  const size_t n = logits.size();
+  std::vector<float> w_scalar(n), w_avx2(n);
+  std::vector<double> s_scalar(DrawBlocks(n)), s_avx2(DrawBlocks(n));
+  const double t_scalar = internal::ScalarTable().categorical_weights(
+      logits.data(), n, temperature, w_scalar.data(), s_scalar.data());
+  const double t_avx2 = internal::Avx2Table().categorical_weights(
+      logits.data(), n, temperature, w_avx2.data(), s_avx2.data());
+  EXPECT_TRUE(SameBitsOrBothNan(t_scalar, t_avx2))
+      << "n=" << n << " temperature=" << temperature;
+  for (size_t j = 0; j < n; ++j) {
+    EXPECT_TRUE(SameBitsOrBothNan(w_scalar[j], w_avx2[j]))
+        << "n=" << n << " temperature=" << temperature << " j=" << j;
+  }
+  for (size_t b = 0; b < s_scalar.size(); ++b) {
+    EXPECT_TRUE(SameBitsOrBothNan(s_scalar[b], s_avx2[b]))
+        << "n=" << n << " temperature=" << temperature << " block=" << b;
+  }
+  if (sums_out != nullptr) *sums_out = s_scalar;
+  if (total_out != nullptr) *total_out = t_scalar;
+  return w_scalar;
+}
+
+TEST_F(KernelParityTest, CategoricalWeightsBitwise) {
   Rng rng(108);
-  for (size_t n : {1u, 7u, 8u, 9u, 33u, 824u, 1136u}) {
+  const float specials[] = {0.0f, -0.0f, INFINITY, -INFINITY, NAN};
+  for (size_t n : kDrawWidths) {
     for (float temperature : {1.0f, 0.7f, 3.0f}) {
       std::vector<float> logits = RandomVector(n, rng);
       for (float& x : logits) x *= 30.0f;
-      std::vector<double> w_scalar(n), w_avx2(n);
-      internal::ScalarTable().softmax_weights(logits.data(), n, temperature,
-                                              w_scalar.data());
-      internal::Avx2Table().softmax_weights(logits.data(), n, temperature,
-                                            w_avx2.data());
-      EXPECT_EQ(std::memcmp(w_scalar.data(), w_avx2.data(),
-                            n * sizeof(double)),
-                0)
-          << "n=" << n << " temperature=" << temperature;
+      std::vector<double> sums;
+      double total = 0.0;
+      const std::vector<float> w =
+          CategoricalViaBothTables(logits, temperature, &sums, &total);
+      // On a finite row the max weighs exactly 1, each block sum is its
+      // weights' sum, and the total is the in-order sum of block sums.
+      const size_t argmax = static_cast<size_t>(
+          std::max_element(logits.begin(), logits.end()) - logits.begin());
+      EXPECT_EQ(w[argmax], 1.0f);
+      double in_order = 0.0;
+      for (size_t b = 0; b < sums.size(); ++b) {
+        double direct = 0.0;
+        const size_t end = std::min(n, (b + 1) * kDrawBlock);
+        for (size_t j = b * kDrawBlock; j < end; ++j) direct += w[j];
+        EXPECT_NEAR(sums[b], direct, 1e-12 * direct) << "block " << b;
+        in_order += sums[b];
+      }
+      EXPECT_EQ(total, in_order);
+
+      // Each special value first, mid-row, and last (the ragged tail of
+      // the last block).
+      for (float special : specials) {
+        for (size_t at : {size_t{0}, n / 2, n - 1}) {
+          std::vector<float> poked = logits;
+          poked[at] = special;
+          CategoricalViaBothTables(poked, temperature, nullptr, nullptr);
+        }
+      }
     }
   }
 }
 
-// Runs softmax_weights (temperature 1) from both tables on `logits`,
+// The GELU at ±0, ±inf, NaN and far out in both saturated tails, at
+// every lane position and in the ragged tail, over random rows.
+TEST_F(KernelParityTest, GeluBitwise) {
+  Rng rng(110);
+  const float specials[] = {0.0f,  -0.0f,  INFINITY, -INFINITY, NAN,
+                            1e-30f, -1e-30f, 1e5f,   -1e5f,     9.0f,
+                            -9.0f, FLT_MAX, -FLT_MAX};
+  for (size_t n : kDrawWidths) {
+    std::vector<float> x = RandomVector(n, rng);
+    for (float& v : x) v *= 4.0f;
+    for (size_t j = 0; j < n; j += 3) {
+      x[j] = specials[(j / 3) % std::size(specials)];
+    }
+    std::vector<float> y_scalar(n), y_avx2(n), t_scalar(n), t_avx2(n);
+    internal::ScalarTable().gelu(x.data(), n, y_scalar.data(),
+                                 t_scalar.data());
+    internal::Avx2Table().gelu(x.data(), n, y_avx2.data(), t_avx2.data());
+    for (size_t j = 0; j < n; ++j) {
+      EXPECT_TRUE(SameBitsOrBothNan(y_scalar[j], y_avx2[j]))
+          << "n=" << n << " x=" << x[j];
+      EXPECT_TRUE(SameBitsOrBothNan(t_scalar[j], t_avx2[j]))
+          << "n=" << n << " x=" << x[j];
+    }
+    // In place (the KV decoder's call) gives the same bits.
+    for (const internal::KernelTable* table :
+         {&internal::ScalarTable(), &internal::Avx2Table()}) {
+      std::vector<float> in_place = x;
+      std::vector<float> t(n);
+      table->gelu(in_place.data(), n, in_place.data(), t.data());
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_TRUE(SameBitsOrBothNan(in_place[j], y_scalar[j]))
+            << "n=" << n << " x=" << x[j];
+      }
+    }
+  }
+}
+
+// Runs categorical_weights (temperature 1) from both tables on `logits`,
 // whose max must be 0, so weights[j] is the exp polynomial of logits[j]
 // itself. Checks the tables agree bit for bit and returns the weights.
-std::vector<double> ExpViaBothTables(const std::vector<float>& logits) {
-  std::vector<double> w_scalar(logits.size()), w_avx2(logits.size());
-  internal::ScalarTable().softmax_weights(logits.data(), logits.size(), 1.0f,
-                                          w_scalar.data());
-  internal::Avx2Table().softmax_weights(logits.data(), logits.size(), 1.0f,
-                                        w_avx2.data());
-  EXPECT_EQ(std::memcmp(w_scalar.data(), w_avx2.data(),
-                        logits.size() * sizeof(double)),
-            0);
-  return w_scalar;
+std::vector<float> ExpViaBothTables(const std::vector<float>& logits) {
+  return CategoricalViaBothTables(logits, 1.0f, nullptr, nullptr);
 }
 
 // A dense sweep of the exp domain [−87, 0]: every 997th float, in rows
@@ -350,10 +441,10 @@ TEST_F(KernelParityTest, ExpPolynomialWithinOneUlpOnItsDomain) {
     for (; b <= last && logits.size() < kChunk; b += kStride) {
       logits.push_back(std::bit_cast<float>(static_cast<uint32_t>(b)));
     }
-    const std::vector<double> w = ExpViaBothTables(logits);
+    const std::vector<float> w = ExpViaBothTables(logits);
     for (size_t j = 1; j < logits.size(); ++j) {
       const float x = logits[j];
-      const float y = static_cast<float>(w[j]);
+      const float y = w[j];
       const double exact = std::exp(static_cast<double>(x));
       const float rounded = static_cast<float>(exact);
       const double ulp =
@@ -385,10 +476,10 @@ TEST_F(KernelParityTest, ExpPolynomialEndpoints) {
   std::vector<float> logits = {0.0f};
   logits.insert(logits.end(), specials.begin(), specials.end());
   logits.insert(logits.end(), specials.begin(), specials.end() - 1);
-  const std::vector<double> w = ExpViaBothTables(logits);
+  const std::vector<float> w = ExpViaBothTables(logits);
   for (size_t j = 0; j < logits.size(); ++j) {
     const float x = logits[j];
-    const float y = static_cast<float>(w[j]);
+    const float y = w[j];
     if (x == 0.0f || x == -FLT_MIN) {
       EXPECT_EQ(y, 1.0f) << "j=" << j;  // exp(0) is exactly 1
     } else if (x < internal::kExpLo) {
@@ -411,7 +502,7 @@ TEST_F(KernelParityTest, SoftmaxNonFiniteLogits) {
   for (const internal::KernelTable* table : tables) {
     for (size_t at : {size_t{0}, size_t{5}, size_t{8}, size_t{17}}) {
       // NaN: the loss and the weight total are NaN, so GuardFiniteLoss
-      // and SampleDiscrete's uniform fallback both see it.
+      // and SampleLogitsRow's uniform fallback both see it.
       std::vector<float> logits = base;
       logits[at] = NAN;
       std::vector<float> probs(n);
@@ -419,8 +510,11 @@ TEST_F(KernelParityTest, SoftmaxNonFiniteLogits) {
       EXPECT_TRUE(std::isnan(table->softmax_nll_forward(
           logits.data(), 1, n, &target, probs.data())))
           << "NaN at " << at;
-      std::vector<double> w(n);
-      table->softmax_weights(logits.data(), n, 1.0f, w.data());
+      std::vector<float> w(n);
+      std::vector<double> sums(DrawBlocks(n));
+      EXPECT_TRUE(std::isnan(table->categorical_weights(
+          logits.data(), n, 1.0f, w.data(), sums.data())))
+          << "NaN at " << at;
       EXPECT_TRUE(std::isnan(w[at])) << "NaN at " << at;
 
       // −inf: weight and probability exactly 0; the rest stays a finite
@@ -431,11 +525,13 @@ TEST_F(KernelParityTest, SoftmaxNonFiniteLogits) {
                                                     &target, probs.data());
       EXPECT_TRUE(std::isfinite(nll)) << "-inf at " << at;
       EXPECT_EQ(std::bit_cast<uint32_t>(probs[at]), 0u) << "-inf at " << at;
-      table->softmax_weights(logits.data(), n, 0.7f, w.data());
-      EXPECT_EQ(w[at], 0.0) << "-inf at " << at;
+      EXPECT_TRUE(std::isfinite(table->categorical_weights(
+          logits.data(), n, 0.7f, w.data(), sums.data())))
+          << "-inf at " << at;
+      EXPECT_EQ(w[at], 0.0f) << "-inf at " << at;
       const size_t argmax = static_cast<size_t>(
           std::max_element(logits.begin(), logits.end()) - logits.begin());
-      EXPECT_EQ(w[argmax], 1.0) << "-inf at " << at;
+      EXPECT_EQ(w[argmax], 1.0f) << "-inf at " << at;
       double psum = 0.0;
       for (float p : probs) psum += p;
       EXPECT_NEAR(psum, 1.0, 1e-5);
@@ -545,6 +641,124 @@ TEST(KernelSemanticsTest, SoftmaxNllForwardMatchesDirectFormula) {
     EXPECT_NEAR(psum, 1.0, 1e-5) << "row " << r;
   }
   EXPECT_NEAR(total, expect, 1e-4);
+}
+
+// The exp-polynomial GELU against the libm-tanh form, over [−12, 12] in
+// steps of 1e-4 (both saturated tails included), on the active backend.
+// Measured on glibc: |y − y_libm| ≤ 2.12e-7·max(1, |x|) (4.8e-7 at worst,
+// at x ≈ 2.25, two float ulps of y) and 1 + tanh(z) within 2.4e-7 (two
+// ulps of values in [1, 2)); against a double reference the worst error
+// is 5.2e-7 here and 4.3e-7 for the libm form, about one ulp of y at
+// x ≈ 4.7 for both. The bounds allow three float epsilons, so another
+// libm's tanh may differ by an ulp.
+TEST(KernelSemanticsTest, GeluMatchesLibmTanhForm) {
+  constexpr double kBound = 3.0 * FLT_EPSILON;
+  std::vector<float> x;
+  for (int i = -120000; i <= 120000; ++i) x.push_back(i * 1e-4f);
+  std::vector<float> y(x.size()), t(x.size());
+  Gelu(x.data(), x.size(), y.data(), t.data());
+  for (size_t i = 0; i < x.size(); ++i) {
+    const float xi = x[i];
+    const float z = kGeluSqrt2OverPi * (xi + kGeluCubic * xi * xi * xi);
+    const float libm_t = 1.0f + std::tanh(z);
+    const float libm_y = 0.5f * xi * libm_t;
+    ASSERT_LE(std::abs(static_cast<double>(y[i]) - libm_y),
+              kBound * std::max(1.0f, std::abs(xi)))
+        << "x=" << xi;
+    ASSERT_LE(std::abs(static_cast<double>(t[i]) - libm_t), kBound)
+        << "x=" << xi;
+  }
+}
+
+// Exact endpoints of the GELU: ±0 keep their sign, the tails saturate to
+// x and to 0, and non-finite inputs follow the libm form.
+TEST(KernelSemanticsTest, GeluEndpoints) {
+  const std::vector<float> x = {0.0f, -0.0f, 20.0f, -20.0f, INFINITY,
+                                -INFINITY, NAN};
+  std::vector<float> y(x.size()), t(x.size());
+  Gelu(x.data(), x.size(), y.data(), t.data());
+  EXPECT_EQ(std::bit_cast<uint32_t>(y[0]), std::bit_cast<uint32_t>(0.0f));
+  EXPECT_EQ(std::bit_cast<uint32_t>(y[1]), std::bit_cast<uint32_t>(-0.0f));
+  EXPECT_EQ(t[0], 1.0f);
+  EXPECT_EQ(y[2], 20.0f);
+  EXPECT_EQ(t[2], 2.0f);
+  EXPECT_EQ(y[3], 0.0f);
+  EXPECT_EQ(t[3], 0.0f);
+  EXPECT_EQ(y[4], INFINITY);
+  EXPECT_TRUE(std::isnan(y[5]));  // −inf · 0, as 0.5·x·(1 + tanh(−inf))
+  EXPECT_TRUE(std::isnan(y[6]));
+}
+
+// The pick against the exact softmax: 200 tokens (three full blocks and
+// a ragged one) at temperature 0.8, 200,000 draws, Pearson χ² on 199
+// degrees of freedom. The bound is the 0.999 quantile (≈ 267).
+TEST(CategoricalDrawTest, DrawMatchesSoftmaxProbabilities) {
+  constexpr size_t kTokens = 200;
+  constexpr int kDraws = 200000;
+  constexpr float kTemperature = 0.8f;
+  Rng rng(111);
+  std::vector<float> logits = RandomVector(kTokens, rng);
+  const double max_v = *std::max_element(logits.begin(), logits.end());
+  std::vector<double> p(kTokens);
+  double z = 0.0;
+  for (size_t j = 0; j < kTokens; ++j) {
+    p[j] = std::exp((logits[j] - max_v) / kTemperature);
+    z += p[j];
+  }
+  std::vector<int> counts(kTokens, 0);
+  Rng draw_rng(112);
+  for (int i = 0; i < kDraws; ++i) {
+    ++counts[SampleLogitsRow(logits.data(), kTokens, kTemperature,
+                             draw_rng)];
+  }
+  double chi2 = 0.0;
+  for (size_t j = 0; j < kTokens; ++j) {
+    const double expected = kDraws * p[j] / z;
+    chi2 += (counts[j] - expected) * (counts[j] - expected) / expected;
+  }
+  EXPECT_LT(chi2, 267.0);
+}
+
+// Exact pick boundaries: u = 0 takes the first positive weight, a u on a
+// block boundary moves into the next block, zero weights and zero blocks
+// are skipped, and a u at or past the total takes the last positive
+// weight.
+TEST(CategoricalDrawTest, PickBoundaries) {
+  // Block 0: weight 1 at index 0, the rest 0. Block 1: all 0. Block 2:
+  // weight 2 at index 130 and 3 at index 140; index 149 (the last) is 0.
+  const size_t n = 150;
+  std::vector<float> w(n, 0.0f);
+  w[0] = 1.0f;
+  w[130] = 2.0f;
+  w[140] = 3.0f;
+  const std::vector<double> sums = {1.0, 0.0, 5.0};
+  EXPECT_EQ(PickCategorical(w.data(), sums.data(), n, 0.0), 0u);
+  EXPECT_EQ(PickCategorical(w.data(), sums.data(), n, 0.999), 0u);
+  EXPECT_EQ(PickCategorical(w.data(), sums.data(), n, 1.0), 130u);
+  EXPECT_EQ(PickCategorical(w.data(), sums.data(), n, 2.999), 130u);
+  EXPECT_EQ(PickCategorical(w.data(), sums.data(), n, 3.0), 140u);
+  EXPECT_EQ(PickCategorical(w.data(), sums.data(), n, 5.999), 140u);
+  EXPECT_EQ(PickCategorical(w.data(), sums.data(), n, 6.0), 140u);
+  EXPECT_EQ(PickCategorical(w.data(), sums.data(), n, 1e300), 140u);
+  // A block sum rounded above its weights: a u past the weights' prefix
+  // sums but under the block's running total stays in that block.
+  const std::vector<double> rounded_up = {1.0, 0.0, 5.5};
+  EXPECT_EQ(PickCategorical(w.data(), rounded_up.data(), n, 6.2), 140u);
+}
+
+// One rng draw per call on every path, as the decoders' replay contracts
+// need: the finite path takes UniformDouble, the NaN path UniformU32(n).
+TEST(CategoricalDrawTest, ConsumesExactlyOneDraw) {
+  std::vector<float> logits = {0.5f, -1.0f, 2.0f};
+  Rng a(113), b(113);
+  SampleLogitsRow(logits.data(), logits.size(), 1.0f, a);
+  b.UniformDouble();
+  EXPECT_EQ(a.NextU32(), b.NextU32());
+  logits[1] = NAN;
+  Rng c(114), d(114);
+  EXPECT_EQ(SampleLogitsRow(logits.data(), logits.size(), 1.0f, c),
+            d.UniformU32(3));
+  EXPECT_EQ(c.NextU32(), d.NextU32());
 }
 
 // --------------------------------------------------------------------------

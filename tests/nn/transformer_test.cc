@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/grad_check.h"
+#include "nn/ops.h"
 #include "nn/optimizer.h"
 
 namespace fairgen::nn {
@@ -122,6 +123,36 @@ TEST(TransformerLMTest, GradCheckOnWalkNll) {
       << "abs=" << result.max_abs_error;
 }
 
+// The FFN's GELU through kernels::Gelu: finite differences over inputs
+// on both sides of zero and out in both tails (x ~ N(0, 3²)), where the
+// backward pass uses the kernel's stored 1 + tanh(z).
+TEST(GeluTest, GradCheckAcrossBothSigns) {
+  Rng rng(21);
+  Var x = MakeParameter(Tensor::Randn(6, 9, 3.0f, rng));
+  auto loss = [&]() { return MeanAll(Gelu(x)); };
+  Rng check_rng(22);
+  auto result = CheckGradients(loss, {x}, 54, check_rng);
+  EXPECT_LT(result.max_rel_error, 2e-2) << "abs=" << result.max_abs_error;
+}
+
+// The backward from the stored 1 + tanh(z) against the derivative of the
+// libm-tanh GELU, ½(1 + t) + ½x(1 − t²)·z′, over [−8, 8].
+TEST(GeluTest, BackwardMatchesLibmDerivative) {
+  const size_t n = 1601;
+  Tensor values(1, n);
+  for (size_t i = 0; i < n; ++i) values.at(0, i) = -8.0f + 0.01f * i;
+  Var x = MakeParameter(values);
+  Backward(SumAll(Gelu(x)));
+  for (size_t i = 0; i < n; ++i) {
+    const double xi = values.at(0, i);
+    const double c = 0.7978845608028654;
+    const double t = std::tanh(c * (xi + 0.044715 * xi * xi * xi));
+    const double dz = c * (1.0 + 3.0 * 0.044715 * xi * xi);
+    const double expect = 0.5 * (1.0 + t) + 0.5 * xi * (1.0 - t * t) * dz;
+    EXPECT_NEAR(x->grad.at(0, i), expect, 2e-6) << "x=" << xi;
+  }
+}
+
 TEST(TransformerLMTest, OverfitsTinyCorpus) {
   // Training must drive the NLL of a repeated deterministic walk close to
   // zero — the core requirement for a usable generator.
@@ -177,6 +208,27 @@ TEST(TransformerDecoderTest, KvDecoderMatchesNextLogitsBitwise) {
   }
 }
 
+// The same at an FFN width that is not a multiple of the kernel's eight
+// lanes, so kernels::Gelu runs its vector body and its scalar tail in
+// both the decoder and the training forward.
+TEST(TransformerDecoderTest, KvDecoderMatchesNextLogitsAtRaggedFfnWidth) {
+  Rng rng(23);
+  TransformerConfig cfg = SmallConfig();
+  cfg.ffn_dim = 21;
+  TransformerLM lm(cfg, rng);
+  const std::vector<uint32_t> prefix{4, 8, 8, 0, 10, 2};
+  TransformerDecoder decoder(lm);
+  for (size_t len = 1; len <= prefix.size(); ++len) {
+    const std::vector<float>& inc = decoder.Step(prefix[len - 1]);
+    std::vector<uint32_t> head(prefix.begin(), prefix.begin() + len);
+    Var full = lm.NextLogits(head);
+    EXPECT_EQ(std::memcmp(inc.data(), full->value.row(0),
+                          cfg.vocab_size * sizeof(float)),
+              0)
+        << "prefix length " << len;
+  }
+}
+
 TEST(TransformerDecoderTest, ResetStartsAFreshSequence) {
   Rng rng(14);
   TransformerLM lm(SmallConfig(), rng);
@@ -214,9 +266,9 @@ TEST(TransformerDecoderTest, SampleWalkMatchesSampleNextLoop) {
   }
 }
 
-// The decode's sampling weights come from kernels::SoftmaxWeights. With
-// a NaN logit the weight total is NaN and SampleDiscrete falls back to a
-// uniform pick, so every token stays reachable and in range; the prefix
+// The decode's sampling weights come from kernels::CategoricalWeights.
+// With a NaN logit the weight total is NaN and SampleLogitsRow falls back
+// to a uniform pick, so every token stays reachable and in range; the prefix
 // tokens keep finite embeddings so only the poisoned logit is NaN.
 TEST(TransformerLMTest, NanLogitFallsBackToUniformInRangeDraws) {
   Rng rng(16);
