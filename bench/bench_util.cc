@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,6 +70,22 @@ T ParseUintFlagOrDie(const char* flag, std::string_view text,
   return static_cast<T>(*parsed);
 }
 
+// --scale must be a whole finite number in (0, 1]: strtod with an end
+// pointer, so "0.1x" and "nan" are exit-2 errors rather than 0.1 and a NaN
+// that slips past the range check.
+double ParseScaleOrDie(std::string_view text) {
+  const std::string value(text);
+  char* end = nullptr;
+  const double scale = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(scale) || scale <= 0.0 || scale > 1.0) {
+    std::fprintf(stderr, "bad --scale='%s' (want a number in (0, 1])\n",
+                 value.c_str());
+    std::exit(2);
+  }
+  return scale;
+}
+
 }  // namespace
 
 BenchOptions ParseOptions(int argc, char** argv, const char* description) {
@@ -128,11 +145,7 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
           description);
       std::exit(0);
     } else if (StrStartsWith(arg, "--scale=")) {
-      options.scale = std::atof(std::string(arg.substr(8)).c_str());
-      if (options.scale <= 0.0 || options.scale > 1.0) {
-        std::fprintf(stderr, "bad --scale\n");
-        std::exit(2);
-      }
+      options.scale = ParseScaleOrDie(arg.substr(8));
     } else if (StrStartsWith(arg, "--seed=")) {
       options.seed = ParseUintFlagOrDie<uint64_t>("--seed", arg.substr(7));
     } else if (StrStartsWith(arg, "--threads=")) {

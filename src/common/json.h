@@ -24,9 +24,9 @@ using Array = std::vector<Value>;
 /// only emit doubles and integers that fit a double exactly); strings are
 /// fully unescaped.
 ///
-/// This is a *reader* for the repo's own machine artifacts —
-/// `BENCH_*.json` baselines for the perf harness `--compare` mode, the
-/// metrics registry export, and the Chrome trace — not a general-purpose
+/// This is a *reader* for the repo's own machine artifacts — the
+/// telemetry run directory (run.json, snapshot.json, profile_top.json),
+/// the metrics registry export, and the Chrome trace — not a general-purpose
 /// JSON library. It accepts strict RFC 8259 documents, rejects trailing
 /// garbage, and caps nesting at 200 levels.
 class Value {

@@ -6,7 +6,6 @@
 #include <execinfo.h>
 #include <signal.h>
 #include <sys/time.h>
-#include <time.h>
 #include <unistd.h>
 
 #if defined(__linux__)
@@ -71,19 +70,9 @@ std::atomic<uint32_t> g_max_depth{48};
 thread_local SampleRing* t_ring = nullptr;
 thread_local bool t_ring_unavailable = false;
 
-uint64_t MonotonicNowNs() {
-  // Same clock as std::chrono::steady_clock on Linux, and
-  // async-signal-safe — sample timestamps line up with span and bench
-  // timestamps without conversion.
-  struct timespec ts;
-  if (clock_gettime(CLOCK_MONOTONIC, &ts) != 0) return 0;
-  return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
-         static_cast<uint64_t>(ts.tv_nsec);
-}
-
-// Async-signal-safe by construction: atomics, clock_gettime, and
-// backtrace (primed at Start so its one-time dynamic-loader work happens
-// outside signal context). No locks, no allocation, no stdio.
+// Async-signal-safe by construction: atomics and backtrace (primed at
+// Start so its one-time dynamic-loader work happens outside signal
+// context). No locks, no allocation, no stdio.
 void SigProfHandler(int /*sig*/, siginfo_t* /*info*/, void* /*ctx*/) {
   const int saved_errno = errno;
   if (g_running.load(std::memory_order_relaxed)) {
@@ -109,17 +98,16 @@ void SigProfHandler(int /*sig*/, siginfo_t* /*info*/, void* /*ctx*/) {
               : 0;
       depth = std::min(depth, g_max_depth.load(std::memory_order_relaxed));
       if (depth > 0) {
-        // Record layout: [depth][timestamp_ns][pc * depth], leaf-first.
+        // Record layout: [depth][pc * depth], leaf-first.
         const uint64_t head = ring->head.load(std::memory_order_relaxed);
         const uint64_t tail = ring->tail.load(std::memory_order_acquire);
-        const uint64_t needed = 2 + depth;
+        const uint64_t needed = 1 + depth;
         if (kRingWords - (head - tail) < needed) {
           ring->dropped.fetch_add(1, std::memory_order_relaxed);
         } else {
           ring->words[head & kRingMask] = depth;
-          ring->words[(head + 1) & kRingMask] = MonotonicNowNs();
           for (uint32_t i = 0; i < depth; ++i) {
-            ring->words[(head + 2 + i) & kRingMask] =
+            ring->words[(head + 1 + i) & kRingMask] =
                 reinterpret_cast<uint64_t>(frames[kSkipFrames + i]);
           }
           ring->head.store(head + needed, std::memory_order_release);
@@ -241,18 +229,9 @@ HwCounters ReadThreadCountersImpl() { return HwCounters{}; }
 #endif  // __linux__
 
 // ---------------------------------------------------------------------------
-// Aggregation (under g_mu): interned stacks + a timestamped sample list
-// for window attribution, plus the symbolization cache.
+// Aggregation (under g_mu): interned stacks with their sample counts,
+// plus the symbolization cache.
 // ---------------------------------------------------------------------------
-
-struct TimedSample {
-  uint64_t ts_ns = 0;
-  uint32_t stack_id = 0;
-};
-
-// Window-attribution retention cap; beyond it counts still aggregate but
-// per-timestamp attribution saturates (benches finish well under this).
-constexpr size_t kMaxTimedSamples = 1u << 22;
 
 struct ProfilerState {
   std::mutex mu;
@@ -260,8 +239,6 @@ struct ProfilerState {
   std::map<std::vector<uint64_t>, uint32_t> stack_ids;
   std::vector<const std::vector<uint64_t>*> stacks;  // by id
   std::vector<uint64_t> stack_counts;                // by id
-  std::vector<TimedSample> timed;
-  bool timed_saturated = false;
   uint64_t samples = 0;
   uint64_t corrupt_records = 0;
   uint64_t dropped_reported = 0;  // already pushed to prof.samples_dropped
@@ -301,19 +278,18 @@ void DrainLocked(ProfilerState& state) {
     while (tail != head) {
       const uint64_t depth = ring.words[tail & kRingMask];
       if (depth == 0 || depth > kMaxCaptureDepth ||
-          head - tail < 2 + depth) {
+          head - tail < 1 + depth) {
         // Corrupt record — cannot happen with a correct producer, but a
         // bounds bug must not turn into an infinite drain loop.
         ++state.corrupt_records;
         tail = head;
         break;
       }
-      const uint64_t ts = ring.words[(tail + 1) & kRingMask];
       std::vector<uint64_t> pcs(depth);
       for (uint64_t i = 0; i < depth; ++i) {
-        pcs[i] = ring.words[(tail + 2 + i) & kRingMask];
+        pcs[i] = ring.words[(tail + 1 + i) & kRingMask];
       }
-      tail += 2 + depth;
+      tail += 1 + depth;
 
       auto it = state.stack_ids.find(pcs);
       if (it == state.stack_ids.end()) {
@@ -325,11 +301,6 @@ void DrainLocked(ProfilerState& state) {
       ++state.stack_counts[it->second];
       ++state.samples;
       ++drained;
-      if (state.timed.size() < kMaxTimedSamples) {
-        state.timed.push_back(TimedSample{ts, it->second});
-      } else {
-        state.timed_saturated = true;
-      }
     }
     ring.tail.store(tail, std::memory_order_release);
   }
@@ -396,15 +367,13 @@ std::string FormatPct(double pct) {
   return std::string(buf);
 }
 
-// Precondition: state.mu held. Top-n leaf self-sample table over
-// per-stack-id counts.
-std::vector<SymbolCount> TopSymbolsLocked(
-    ProfilerState& state, const std::vector<uint64_t>& counts, size_t n) {
+// Precondition: state.mu held. Top-n leaf self-sample table.
+std::vector<SymbolCount> TopSymbolsLocked(ProfilerState& state, size_t n) {
   std::map<std::string, uint64_t> by_symbol;
-  for (size_t id = 0; id < counts.size(); ++id) {
-    if (counts[id] == 0) continue;
+  for (size_t id = 0; id < state.stack_counts.size(); ++id) {
+    if (state.stack_counts[id] == 0) continue;
     const std::vector<uint64_t>& pcs = *state.stacks[id];
-    by_symbol[SymbolizeLocked(state, pcs.front())] += counts[id];
+    by_symbol[SymbolizeLocked(state, pcs.front())] += state.stack_counts[id];
   }
   std::vector<SymbolCount> out;
   out.reserve(by_symbol.size());
@@ -451,8 +420,6 @@ Status Profiler::Start(const ProfilerOptions& options) {
   state.stack_ids.clear();
   state.stacks.clear();
   state.stack_counts.clear();
-  state.timed.clear();
-  state.timed_saturated = false;
   state.samples = 0;
   state.corrupt_records = 0;
   state.dropped_reported = 0;
@@ -613,22 +580,7 @@ std::vector<SymbolCount> Profiler::TopSymbols(size_t n) {
   ProfilerState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
   DrainLocked(state);
-  return TopSymbolsLocked(state, state.stack_counts, n);
-}
-
-std::vector<SymbolCount> Profiler::TopSymbolsInWindow(uint64_t start_ns,
-                                                      uint64_t end_ns,
-                                                      size_t n) {
-  ProfilerState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  DrainLocked(state);
-  std::vector<uint64_t> counts(state.stack_counts.size(), 0);
-  for (const TimedSample& sample : state.timed) {
-    if (sample.ts_ns >= start_ns && sample.ts_ns < end_ns) {
-      ++counts[sample.stack_id];
-    }
-  }
-  return TopSymbolsLocked(state, counts, n);
+  return TopSymbolsLocked(state, n);
 }
 
 std::string Profiler::TopJson(size_t n) {

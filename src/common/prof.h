@@ -108,7 +108,7 @@ class Profiler {
   bool running() const;
 
   /// Moves every completed sample out of the per-thread rings into the
-  /// profiler's aggregate (stack interning + timestamped sample list).
+  /// profiler's aggregate (interned stacks with per-stack counts).
   /// Called by the telemetry Publisher every tick, by Stop, and lazily by
   /// the export functions; safe from any thread (consumer side of the
   /// SPSC rings is serialized by the profiler mutex).
@@ -134,13 +134,6 @@ class Profiler {
   /// Top-`n` symbols by leaf self-samples, descending (ties broken by
   /// symbol name). Drains first.
   std::vector<SymbolCount> TopSymbols(size_t n);
-
-  /// Top symbols restricted to samples whose timestamp lies in
-  /// [start_ns, end_ns) on the steady/monotonic clock — the window the
-  /// bench harness records around each scenario, so a regression can name
-  /// the symbols that were hot while the scenario ran. Drains first.
-  std::vector<SymbolCount> TopSymbolsInWindow(uint64_t start_ns,
-                                              uint64_t end_ns, size_t n);
 
   /// `{"schema_version": 1, "samples": ..., "dropped": ...,
   ///   "hw_available": ..., "top": [{"symbol", "samples", "pct"}, ...]}`

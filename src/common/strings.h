@@ -53,7 +53,7 @@ Result<uint64_t> ParseUint(std::string_view text,
 /// `"` and `\` are backslash-escaped, the named control characters become
 /// \b \f \n \r \t, and the remaining C0 controls become \u00XX. Does not
 /// add the surrounding quotes. Shared by every JSON exporter in the repo
-/// (metrics registry, span trace, Chrome trace, perf harness).
+/// (metrics registry, span trace, Chrome trace, profiler top table).
 std::string JsonEscape(std::string_view text);
 
 /// \brief `text` as a JSON string literal: JsonEscape plus the

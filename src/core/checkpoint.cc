@@ -9,6 +9,7 @@
 
 #include "common/fileio.h"
 #include "common/logging.h"
+#include "common/strings.h"
 #include "nn/serialize.h"
 
 namespace fairgen {
@@ -144,16 +145,16 @@ std::vector<CheckpointFile> ListCheckpoints(const std::string& dir) {
             0) {
       continue;
     }
-    const std::string digits =
-        name.substr(prefix_len, name.size() - prefix_len - suffix_len);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
+    // Digits only, and the cycle must fit in uint32_t: a name that would
+    // wrap is skipped like any other foreign file.
+    const Result<uint64_t> cycle = ParseUint(
+        std::string_view(name).substr(
+            prefix_len, name.size() - prefix_len - suffix_len),
+        UINT32_MAX);
+    if (!cycle.ok()) continue;
     CheckpointFile file;
     file.path = dir + "/" + name;
-    file.cycle = static_cast<uint32_t>(std::strtoul(digits.c_str(), nullptr,
-                                                    10));
+    file.cycle = static_cast<uint32_t>(*cycle);
     out.push_back(std::move(file));
   }
   ::closedir(d);

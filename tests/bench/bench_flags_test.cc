@@ -1,0 +1,50 @@
+// Strict parsing of the flags every paper bench shares (bench/bench_util.cc
+// ParseOptions), driven through a real bench binary: a malformed numeric
+// flag must be an exit-2 error, never a silent 0, a wrapped negative or a
+// prefix read ("--scale=0.1x" as 0.1).
+//
+// The binary path is injected by tests/CMakeLists.txt as the
+// FAIRGEN_BENCH_BINARY_PATH compile definition.
+
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <string>
+
+#include <gtest/gtest.h>
+
+namespace fairgen::bench {
+namespace {
+
+// std::system returns a wait status; the bench's exit code lives in
+// WEXITSTATUS. A bad flag exits before any dataset is built, so nothing
+// is written to the working directory.
+int RunBench(const std::string& flags) {
+  const std::string command = std::string(FAIRGEN_BENCH_BINARY_PATH) + " " +
+                              flags + " > /dev/null 2>&1";
+  const int status = std::system(command.c_str());
+  if (status == -1 || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+TEST(BenchFlagsTest, WellFormedFlagsRun) {
+  EXPECT_EQ(RunBench("--scale=0.01 --seed=7 --threads=1 --datasets=ACM"), 0);
+}
+
+TEST(BenchFlagsTest, MalformedNumericFlagsAreErrors) {
+  EXPECT_EQ(RunBench("--seed=junk"), 2);
+  EXPECT_EQ(RunBench("--threads=-2"), 2);
+  EXPECT_EQ(RunBench("--seed=99999999999999999999999"), 2);
+}
+
+TEST(BenchFlagsTest, ScaleMustBeAFiniteNumberInUnitInterval) {
+  EXPECT_EQ(RunBench("--scale=nan"), 2);
+  EXPECT_EQ(RunBench("--scale=inf"), 2);
+  EXPECT_EQ(RunBench("--scale=0.1x"), 2);
+  EXPECT_EQ(RunBench("--scale="), 2);
+  EXPECT_EQ(RunBench("--scale=0"), 2);
+  EXPECT_EQ(RunBench("--scale=2"), 2);
+}
+
+}  // namespace
+}  // namespace fairgen::bench

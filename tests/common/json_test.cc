@@ -42,8 +42,8 @@ TEST(JsonParseTest, Numbers) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->AsDouble(), 0.025);
 
-  // %.17g round-trip: the payload the perf harness writes must come back
-  // bit-exact.
+  // %.17g round-trip: the payload the metrics registry writes must come
+  // back bit-exact.
   v = Parse("0.10000000000000001");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->AsDouble(), 0.1);

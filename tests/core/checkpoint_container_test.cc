@@ -186,5 +186,37 @@ TEST(CheckpointDirTest, RotationKeepsNewest) {
   EXPECT_EQ(ListCheckpoints(dir).size(), 2u);
 }
 
+// A cycle number that does not fit in uint32_t marks a foreign file, not a
+// checkpoint. Truncated, ckpt-99999999999 would read as cycle 1215752191:
+// resume would try it first and rotation would keep it over real files.
+TEST(CheckpointDirTest, IgnoresCycleNumbersThatOverflow) {
+  std::string dir = TempDirPath("overflow");
+  ASSERT_TRUE(MakeDirectories(dir).ok());
+  const std::vector<std::string> strays = {dir + "/ckpt-4294967296.fgckpt",
+                                           dir + "/ckpt-99999999999.fgckpt"};
+  for (const std::string& stray : strays) {
+    ASSERT_TRUE(WriteFileAtomic(stray, "x").ok());
+  }
+  for (uint32_t cycle = 1; cycle <= 4; ++cycle) {
+    ASSERT_TRUE(
+        WriteFileAtomic(dir + "/" + CheckpointFileName(cycle), "x").ok());
+  }
+
+  std::vector<CheckpointFile> files = ListCheckpoints(dir);
+  ASSERT_EQ(files.size(), 4u);
+  EXPECT_EQ(files.back().cycle, 4u);
+
+  RotateCheckpoints(dir, 2);
+  files = ListCheckpoints(dir);
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files[0].cycle, 3u);
+  EXPECT_EQ(files[1].cycle, 4u);
+  for (const std::string& stray : strays) {
+    EXPECT_TRUE(PathExists(stray)) << "rotation deleted a foreign file";
+    std::remove(stray.c_str());
+  }
+  for (const CheckpointFile& file : files) std::remove(file.path.c_str());
+}
+
 }  // namespace
 }  // namespace fairgen

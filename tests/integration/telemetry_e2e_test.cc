@@ -176,7 +176,7 @@ TEST_F(TelemetryE2eTest, CliRunYieldsSchemaValidArtifactsAndReport) {
   std::string html = ReadFileOrDie(report);
   for (const char* id :
        {"id=\"runs\"", "id=\"curves\"", "id=\"stages\"", "id=\"memory\"",
-        "id=\"profile\"", "id=\"bench\"", "id=\"compare\""}) {
+        "id=\"profile\"", "id=\"compare\""}) {
     EXPECT_NE(html.find(id), std::string::npos) << "missing section " << id;
   }
   EXPECT_NE(html.find("<svg"), std::string::npos)

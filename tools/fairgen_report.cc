@@ -6,8 +6,8 @@
 // Each argument is either a run directory (contains run.json, written by
 // the telemetry publisher) or a parent directory whose children are run
 // directories (the --telemetry-dir value). The tool joins, per run, the
-// manifest (run.json), the latest metrics snapshot (snapshot.json) and any
-// BENCH_*.json perf-harness result found in the run dir, and renders one
+// manifest (run.json), the latest metrics snapshot (snapshot.json), the
+// profiler's top table and the watchdog alerts, and renders one
 // self-contained static HTML file: inline CSS, inline SVG charts, no
 // scripts, no network fetches — it opens from a file:// URL on an
 // air-gapped box.
@@ -24,7 +24,6 @@
 //            of the in-training probes (probe.disparity_gap /
 //            probe.discrepancy_mean series)
 //   #profile sampling-profiler top symbols (profile_top.json, when present)
-//   #bench   BENCH_pipeline scenario medians side by side (when present)
 //   #compare final counter/gauge values side by side
 
 #include <dirent.h>
@@ -57,11 +56,9 @@ struct RunData {
   std::string run_id;
   json::Value manifest;
   json::Value snapshot;  // null when snapshot.json is absent
-  json::Value bench;     // null when no BENCH_*.json in the run dir
   json::Value profile;   // null when no profile_top.json (profiler off)
   std::vector<AlertRow> alerts;  // watchdog alerts from events.jsonl
   bool has_snapshot = false;
-  bool has_bench = false;
   bool has_profile = false;
 };
 
@@ -151,16 +148,6 @@ bool LoadRun(const std::string& dir, RunData* run) {
       row.epoch = record->GetDouble("epoch", -1.0);
       row.message = record->GetString("message");
       run->alerts.push_back(std::move(row));
-    }
-  }
-  for (const std::string& name : ListDir(dir)) {
-    if (StrStartsWith(name, "BENCH_") && StrEndsWith(name, ".json")) {
-      auto bench = json::ParseFile(dir + "/" + name);
-      if (bench.ok()) {
-        run->bench = *std::move(bench);
-        run->has_bench = true;
-        break;
-      }
     }
   }
   return true;
@@ -508,49 +495,6 @@ std::string ProfileTables(const std::vector<RunData>& runs) {
   return html;
 }
 
-std::string BenchTable(const std::vector<RunData>& runs) {
-  std::set<std::string> scenarios;
-  for (const RunData& run : runs) {
-    if (!run.has_bench) continue;
-    const json::Value* list = run.bench.Find("scenarios");
-    if (list == nullptr || !list->is_array()) continue;
-    for (const json::Value& s : list->AsArray()) {
-      scenarios.insert(s.GetString("scenario", ""));
-    }
-  }
-  scenarios.erase("");
-  if (scenarios.empty()) {
-    return "<p class=\"missing\">no BENCH_*.json found in the run "
-           "directories</p>\n";
-  }
-  std::string html = "<table><tr><th>scenario</th>";
-  for (const RunData& run : runs) {
-    html += "<th>" + HtmlEscape(run.run_id) + " median ms</th>";
-  }
-  html += "</tr>\n";
-  for (const std::string& scenario : scenarios) {
-    html += "<tr><td>" + HtmlEscape(scenario) + "</td>";
-    for (const RunData& run : runs) {
-      std::string cell = "-";
-      if (run.has_bench) {
-        const json::Value* list = run.bench.Find("scenarios");
-        if (list != nullptr && list->is_array()) {
-          for (const json::Value& s : list->AsArray()) {
-            if (s.GetString("scenario", "") == scenario) {
-              cell = FormatG(s.GetDouble("median_ms", 0));
-              break;
-            }
-          }
-        }
-      }
-      html += "<td>" + cell + "</td>";
-    }
-    html += "</tr>\n";
-  }
-  html += "</table>\n";
-  return html;
-}
-
 // Scalar (counter + gauge) values of one run, flattened name -> value.
 std::map<std::string, double> ScalarMetrics(const RunData& run) {
   std::map<std::string, double> out;
@@ -664,9 +608,6 @@ std::string RenderReport(const std::vector<RunData>& runs,
   html += "<section id=\"profile\">\n<h2>Profiler top symbols</h2>\n" +
           ProfileTables(runs) + "</section>\n";
 
-  html += "<section id=\"bench\">\n<h2>Perf-harness scenarios</h2>\n" +
-          BenchTable(runs) + "</section>\n";
-
   html += "<section id=\"compare\">\n<h2>Final metric values</h2>\n" +
           CompareTable(runs) + "</section>\n";
 
@@ -689,9 +630,9 @@ int Main(int argc, char** argv) {
       std::printf(
           "usage: fairgen_report <run-dir-or-parent>... [--out=report.html]"
           " [--title=...]\n\n"
-          "Joins run.json + snapshot.json + BENCH_*.json from telemetry run"
-          " directories\n(--telemetry-dir) into one self-contained HTML"
-          " report.\n");
+          "Joins run.json + snapshot.json + profile_top.json + events.jsonl"
+          " from telemetry\nrun directories (--telemetry-dir) into one"
+          " self-contained HTML report.\n");
       return 0;
     } else if (StrStartsWith(arg, "--")) {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", argv[i]);
