@@ -58,9 +58,8 @@ void WriteTelemetryAtExit() {
 // never the silent 0 / wrapped huge value the old null-endptr strtoul
 // calls produced.
 template <typename T>
-T ParseUintFlagOrDie(const char* flag, std::string_view text,
-                     uint64_t max_value = std::numeric_limits<T>::max()) {
-  Result<uint64_t> parsed = ParseUint(text, max_value);
+T ParseUintFlagOrDie(const char* flag, std::string_view text) {
+  Result<uint64_t> parsed = ParseUint(text, std::numeric_limits<T>::max());
   if (!parsed.ok()) {
     std::fprintf(stderr, "bad %s='%s': %s\n", flag,
                  std::string(text).c_str(),
@@ -114,9 +113,6 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
           "  --telemetry-dir=<d>        live telemetry: per-run directory\n"
           "                             under <d> with run.json manifest +\n"
           "                             periodic snapshot.json/metrics.prom\n"
-          "  --telemetry-port=<n>       also serve Prometheus text on\n"
-          "                             127.0.0.1:<n> (0 = ephemeral port;\n"
-          "                             requires --telemetry-dir)\n"
           "  --telemetry-interval-ms=<n> snapshot period (default 1000)\n"
           "  --checkpoint-dir=<d>       fault-tolerant FairGen training\n"
           "                             checkpoints (ckpt-*.fgckpt under a\n"
@@ -163,10 +159,6 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
       options.log_level = std::string(arg.substr(12));
     } else if (StrStartsWith(arg, "--telemetry-dir=")) {
       options.telemetry_dir = std::string(arg.substr(16));
-    } else if (StrStartsWith(arg, "--telemetry-port=")) {
-      options.telemetry_port = static_cast<int32_t>(
-          ParseUintFlagOrDie<uint32_t>("--telemetry-port", arg.substr(17),
-                                       /*max_value=*/65535));
     } else if (StrStartsWith(arg, "--telemetry-interval-ms=")) {
       options.telemetry_interval_ms = ParseUintFlagOrDie<uint32_t>(
           "--telemetry-interval-ms", arg.substr(24));
@@ -216,10 +208,6 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
     SetLogLevel(LogLevel::kWarning);
   }
   if (options.threads != 0) SetDefaultNumThreads(options.threads);
-  if (options.telemetry_dir.empty() && options.telemetry_port >= 0) {
-    std::fprintf(stderr, "--telemetry-port requires --telemetry-dir\n");
-    std::exit(2);
-  }
   if (options.watchdog && options.telemetry_dir.empty()) {
     std::fprintf(stderr, "--watchdog requires --telemetry-dir\n");
     std::exit(2);
@@ -273,9 +261,6 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
   if (!options.telemetry_dir.empty()) {
     telemetry::PublisherOptions pub;
     pub.dir = options.telemetry_dir;
-    pub.serve = options.telemetry_port >= 0;
-    pub.port = static_cast<uint16_t>(
-        options.telemetry_port < 0 ? 0 : options.telemetry_port);
     pub.interval_ms = options.telemetry_interval_ms;
     pub.binary = argc > 0 ? argv[0] : "bench";
     for (int i = 1; i < argc; ++i) pub.args.emplace_back(argv[i]);
@@ -287,12 +272,7 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
                    publisher.status().ToString().c_str());
       std::exit(2);
     }
-    std::printf("(telemetry run dir: %s", (*publisher)->run_dir().c_str());
-    if ((*publisher)->bound_port() != 0) {
-      std::printf("; scrape http://127.0.0.1:%u/metrics",
-                  (*publisher)->bound_port());
-    }
-    std::printf(")\n");
+    std::printf("(telemetry run dir: %s)\n", (*publisher)->run_dir().c_str());
   }
   if (options.profile_hz > 0) {
     prof::ProfilerOptions prof_options;
@@ -303,10 +283,7 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
                    s.ToString().c_str());
       std::exit(2);
     }
-    std::printf("(profiling at %u Hz%s)\n", options.profile_hz,
-                prof::Profiler::Global().hw_available()
-                    ? ", hw counters on"
-                    : "");
+    std::printf("(profiling at %u Hz)\n", options.profile_hz);
   }
   return options;
 }

@@ -31,9 +31,6 @@ struct BenchOptions {
   std::string telemetry_dir;  ///< --telemetry-dir=<dir>: live run telemetry
                               ///< (run.json/snapshot.json/metrics.prom in a
                               ///< per-run directory under <dir>)
-  int32_t telemetry_port = -1;       ///< --telemetry-port=<n>: Prometheus
-                                     ///< exposition on 127.0.0.1:<n>
-                                     ///< (0 = ephemeral; -1 = off)
   uint32_t telemetry_interval_ms = 1000;  ///< --telemetry-interval-ms=<n>
   std::string checkpoint_dir;        ///< --checkpoint-dir=<d>: fault-tolerant
                                      ///< FairGen training checkpoints (one

@@ -8,12 +8,6 @@
 #include <sys/time.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <linux/perf_event.h>
-#include <sys/ioctl.h>
-#include <sys/syscall.h>
-#endif
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -117,116 +111,6 @@ void SigProfHandler(int /*sig*/, siginfo_t* /*info*/, void* /*ctx*/) {
   }
   errno = saved_errno;
 }
-
-// ---------------------------------------------------------------------------
-// Hardware counters: one perf_event group per thread (cycles leader +
-// instructions + cache-misses + branch-misses), opened lazily on the
-// thread's first span while profiling. Fds are deliberately never closed
-// — Stop only ioctl-disables the leaders — because closing would race a
-// concurrent ReadThreadCounters into a *reused* fd number; the cost is
-// four fds per sampled thread for the process lifetime.
-// ---------------------------------------------------------------------------
-
-#if defined(__linux__)
-
-struct ThreadPerf {
-  int group_fd = -1;
-  bool failed = false;
-};
-thread_local ThreadPerf t_perf;
-
-std::mutex g_perf_mu;
-std::vector<int>& PerfLeaders() {
-  static std::vector<int>* leaders = new std::vector<int>();
-  return *leaders;
-}
-
-std::atomic<bool> g_hw_wanted{false};
-std::atomic<bool> g_hw_available{false};
-
-int OpenHwCounter(uint64_t config, int group_fd) {
-  struct perf_event_attr attr;
-  std::memset(&attr, 0, sizeof(attr));
-  attr.size = sizeof(attr);
-  attr.type = PERF_TYPE_HARDWARE;
-  attr.config = config;
-  attr.disabled = group_fd == -1 ? 1 : 0;  // siblings follow the leader
-  attr.exclude_kernel = 1;
-  attr.exclude_hv = 1;
-  attr.read_format = PERF_FORMAT_GROUP;
-  return static_cast<int>(::syscall(SYS_perf_event_open, &attr,
-                                    /*pid=*/0, /*cpu=*/-1, group_fd,
-                                    /*flags=*/0));
-}
-
-// Opens (or returns) the calling thread's counter group. Not callable
-// from signal context — only ScopedSpan and the Start probe reach it.
-bool EnsureThreadPerf() {
-  if (t_perf.group_fd >= 0) return true;
-  if (t_perf.failed) return false;
-  const int leader = OpenHwCounter(PERF_COUNT_HW_CPU_CYCLES, -1);
-  if (leader < 0) {
-    t_perf.failed = true;
-    return false;
-  }
-  const int instructions = OpenHwCounter(PERF_COUNT_HW_INSTRUCTIONS, leader);
-  const int cache = OpenHwCounter(PERF_COUNT_HW_CACHE_MISSES, leader);
-  const int branch = OpenHwCounter(PERF_COUNT_HW_BRANCH_MISSES, leader);
-  if (instructions < 0 || cache < 0 || branch < 0) {
-    // A machine that exposes cycles but not the full group still reports
-    // hw unavailable — partial annotations would be misleading.
-    if (instructions >= 0) ::close(instructions);
-    if (cache >= 0) ::close(cache);
-    if (branch >= 0) ::close(branch);
-    ::close(leader);
-    t_perf.failed = true;
-    return false;
-  }
-  ::ioctl(leader, PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
-  ::ioctl(leader, PERF_EVENT_IOC_ENABLE, PERF_IOC_FLAG_GROUP);
-  t_perf.group_fd = leader;
-  std::lock_guard<std::mutex> lock(g_perf_mu);
-  PerfLeaders().push_back(leader);
-  return true;
-}
-
-void SetPerfGroupsEnabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(g_perf_mu);
-  for (int leader : PerfLeaders()) {
-    ::ioctl(leader,
-            enabled ? PERF_EVENT_IOC_ENABLE : PERF_EVENT_IOC_DISABLE,
-            PERF_IOC_FLAG_GROUP);
-    if (enabled) ::ioctl(leader, PERF_EVENT_IOC_RESET, PERF_IOC_FLAG_GROUP);
-  }
-}
-
-HwCounters ReadThreadCountersImpl() {
-  HwCounters out;
-  if (!g_hw_wanted.load(std::memory_order_relaxed)) return out;
-  if (!EnsureThreadPerf()) return out;
-  struct {
-    uint64_t nr;
-    uint64_t values[4];
-  } data;
-  const ssize_t got = ::read(t_perf.group_fd, &data, sizeof(data));
-  if (got != static_cast<ssize_t>(sizeof(data)) || data.nr != 4) return out;
-  out.valid = true;
-  out.cycles = data.values[0];
-  out.instructions = data.values[1];
-  out.cache_misses = data.values[2];
-  out.branch_misses = data.values[3];
-  return out;
-}
-
-#else  // !__linux__
-
-bool EnsureThreadPerf() { return false; }
-void SetPerfGroupsEnabled(bool) {}
-std::atomic<bool> g_hw_wanted{false};
-std::atomic<bool> g_hw_available{false};
-HwCounters ReadThreadCountersImpl() { return HwCounters{}; }
-
-#endif  // __linux__
 
 // ---------------------------------------------------------------------------
 // Aggregation (under g_mu): interned stacks with their sample counts,
@@ -450,20 +334,9 @@ Status Profiler::Start(const ProfilerOptions& options) {
   }
   state.have_old_sigprof = true;
 
-  g_hw_wanted.store(options.hw_counters, std::memory_order_relaxed);
-  if (options.hw_counters) {
-    SetPerfGroupsEnabled(true);  // re-arm groups from a previous session
-    g_hw_available.store(EnsureThreadPerf(), std::memory_order_relaxed);
-  } else {
-    g_hw_available.store(false, std::memory_order_relaxed);
-  }
-
   metrics::MetricsRegistry::Global()
       .GetGauge("prof.hz")
       .Set(static_cast<double>(options.hz));
-  metrics::MetricsRegistry::Global()
-      .GetGauge("prof.hw_available")
-      .Set(g_hw_available.load(std::memory_order_relaxed) ? 1.0 : 0.0);
 
   g_running.store(true, std::memory_order_release);
 
@@ -493,7 +366,6 @@ void Profiler::Stop() {
   // handler is the safe steady state; the off-by-default invariant is
   // about processes that never started profiling.
   g_running.store(false, std::memory_order_release);
-  SetPerfGroupsEnabled(false);
   DrainLocked(state);
   ReportDroppedLocked(state);
 }
@@ -519,10 +391,6 @@ uint64_t Profiler::dropped() const {
   ProfilerState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
   return DroppedTotal() + state.corrupt_records;
-}
-
-bool Profiler::hw_available() const {
-  return g_hw_available.load(std::memory_order_relaxed);
 }
 
 uint32_t Profiler::hz() const {
@@ -591,8 +459,6 @@ std::string Profiler::TopJson(size_t n) {
   out += "  \"schema_version\": 1,\n";
   out += "  \"samples\": " + std::to_string(total) + ",\n";
   out += "  \"dropped\": " + std::to_string(dropped()) + ",\n";
-  out += std::string("  \"hw_available\": ") +
-         (hw_available() ? "true" : "false") + ",\n";
   out += "  \"top\": [";
   for (size_t i = 0; i < top.size(); ++i) {
     if (i > 0) out += ",";
@@ -615,11 +481,6 @@ Status Profiler::WriteArtifacts(const std::string& dir) {
   FAIRGEN_RETURN_NOT_OK(
       WriteFileAtomic(dir + "/profile.folded", ToFoldedText()));
   return WriteFileAtomic(dir + "/profile_top.json", TopJson(20));
-}
-
-HwCounters ReadThreadCounters() {
-  if (!g_running.load(std::memory_order_relaxed)) return HwCounters{};
-  return ReadThreadCountersImpl();
 }
 
 uint32_t HzFromEnv() {

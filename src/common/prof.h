@@ -12,46 +12,24 @@ namespace fairgen {
 namespace prof {
 
 /// \brief In-process sampling profiler (DESIGN.md §10). Opt-in and off by
-/// default: until `Profiler::Start` runs, no SIGPROF handler is installed,
-/// no `perf_event` fd is open, and `ScopedSpan` never reads a hardware
-/// counter — the off state is bitwise free and pinned by the off-by-default
+/// default: until `Profiler::Start` runs, no SIGPROF handler is installed —
+/// the off state is bitwise free and pinned by the off-by-default
 /// invariant tests.
 ///
-/// Two independent signal sources, both observation-only (no `Rng` draws,
-/// no chunk-layout changes, no synchronization beyond the profiler's own
-/// atomics — the determinism suite holds at 1/2/4 threads with profiling
-/// on):
-///
-///  1. **Sampled call stacks.** `setitimer(ITIMER_PROF)` delivers SIGPROF
-///     to whichever thread is burning CPU; the handler captures a
-///     `backtrace` into a lock-free SPSC ring claimed by that thread from
-///     a preallocated pool (no malloc, no locks — the handler is
-///     async-signal-safe). The telemetry Publisher (or any caller) drains
-///     the rings off the signal path, symbolizes program counters via
-///     `dladdr`, and aggregates collapsed stacks.
-///  2. **Hardware counters.** A per-thread `perf_event_open` group
-///     (cycles, instructions, cache-misses, branch-misses) read at span
-///     boundaries by `trace::ScopedSpan`, so every span carries an
-///     IPC/cache-miss annotation. When the syscall is unavailable (seccomp
-///     containers, `perf_event_paranoid`), everything degrades silently:
-///     `hw_available()` is false and span annotations are absent.
+/// Sampling is observation-only (no `Rng` draws, no chunk-layout changes,
+/// no synchronization beyond the profiler's own atomics — the determinism
+/// suite holds at 1/2/4 threads with profiling on):
+/// `setitimer(ITIMER_PROF)` delivers SIGPROF to whichever thread is
+/// burning CPU; the handler captures a `backtrace` into a lock-free SPSC
+/// ring claimed by that thread from a preallocated pool (no malloc, no
+/// locks — the handler is async-signal-safe). The telemetry Publisher (or
+/// any caller) drains the rings off the signal path, symbolizes program
+/// counters via `dladdr`, and aggregates collapsed stacks.
 ///
 /// Exports: `profile.folded` (collapsed stacks, flamegraph.pl/speedscope
 /// compatible), `profile_top.json` (symbolized top-N self-sample table),
 /// and `prof.*` metrics (`prof.samples`, `prof.samples_dropped`,
-/// `prof.hz`, `prof.hw_available`).
-
-/// \brief One hardware-counter reading (or span delta). `valid` is false
-/// whenever `perf_event_open` is unavailable or the profiler is stopped —
-/// consumers must treat invalid readings as "annotation absent", never as
-/// zeros.
-struct HwCounters {
-  bool valid = false;
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t cache_misses = 0;
-  uint64_t branch_misses = 0;
-};
+/// `prof.hz`).
 
 /// \brief One aggregated collapsed stack: `frames` are symbolized,
 /// root-first (the flamegraph convention), `count` is how many samples
@@ -74,9 +52,6 @@ struct ProfilerOptions {
   /// idle threads are never sampled). A prime default decorrelates the
   /// timer from millisecond-periodic work.
   uint32_t hz = 97;
-  /// Open per-thread perf_event counter groups (silently unavailable on
-  /// most container seccomp profiles).
-  bool hw_counters = true;
   /// Frames kept per sample after dropping the handler/trampoline frames.
   uint32_t max_stack_depth = 48;
 };
@@ -88,23 +63,20 @@ class Profiler {
  public:
   static Profiler& Global();
 
-  /// Installs the SIGPROF handler, arms the CPU-time timer and (when
-  /// requested) probes hardware-counter availability on the calling
-  /// thread. `FailedPrecondition` when already running,
+  /// Installs the SIGPROF handler and arms the CPU-time timer.
+  /// `FailedPrecondition` when already running,
   /// `InvalidArgument` for hz outside [1, 10000]. Starting resets all
   /// previously aggregated samples.
   Status Start(const ProfilerOptions& options);
 
-  /// Disarms the timer, disables the per-thread counter groups and drains
-  /// any samples still in the rings. The handler stays installed as a
-  /// gated no-op: restoring SIG_DFL while a final SIGPROF is still
-  /// pending would terminate the process. Idempotent. The aggregated
-  /// profile stays readable (ToFolded/TopSymbols/WriteArtifacts) until
-  /// the next Start.
+  /// Disarms the timer and drains any samples still in the rings. The
+  /// handler stays installed as a gated no-op: restoring SIG_DFL while a
+  /// final SIGPROF is still pending would terminate the process.
+  /// Idempotent. The aggregated profile stays readable
+  /// (ToFolded/TopSymbols/WriteArtifacts) until the next Start.
   void Stop();
 
-  /// True between Start and Stop. One relaxed load — this is the gate
-  /// `ScopedSpan` checks before touching a counter.
+  /// True between Start and Stop. One relaxed load.
   bool running() const;
 
   /// Moves every completed sample out of the per-thread rings into the
@@ -118,8 +90,6 @@ class Profiler {
   uint64_t samples() const;
   /// Samples lost to full rings or ring-pool exhaustion.
   uint64_t dropped() const;
-  /// True when the perf_event probe at Start succeeded.
-  bool hw_available() const;
   /// The Hz the profiler is (or was last) running at, 0 before any Start.
   uint32_t hz() const;
 
@@ -136,7 +106,7 @@ class Profiler {
   std::vector<SymbolCount> TopSymbols(size_t n);
 
   /// `{"schema_version": 1, "samples": ..., "dropped": ...,
-  ///   "hw_available": ..., "top": [{"symbol", "samples", "pct"}, ...]}`
+  ///   "top": [{"symbol", "samples", "pct"}, ...]}`
   std::string TopJson(size_t n);
 
   /// Writes `profile.folded` and `profile_top.json` into `dir`
@@ -148,12 +118,6 @@ class Profiler {
  private:
   Profiler() = default;
 };
-
-/// \brief Hardware counters of the calling thread right now. Lazily opens
-/// the thread's perf_event group on first use while the profiler is
-/// running; `valid == false` when stopped or unavailable. Called by
-/// `ScopedSpan` at span entry/exit.
-HwCounters ReadThreadCounters();
 
 /// \brief Sampling rate from `FAIRGEN_PROF_HZ`, or 0 when unset/invalid —
 /// the env half of the `--profile-hz` plumbing.

@@ -1,10 +1,6 @@
 #include "common/telemetry.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <fcntl.h>
 #include <sys/utsname.h>
@@ -112,41 +108,6 @@ std::string PrometheusText() {
   for (const auto& p : process) {
     out += std::string("# TYPE ") + p.name + " gauge\n";
     out += std::string(p.name) + " " + FormatValue(p.value) + "\n";
-  }
-
-  // Per-category hardware-counter annotations from profiled spans
-  // (common/prof.h). Families appear only when at least one span carried
-  // a valid perf_event reading — on hosts without perf_event the
-  // exposition is byte-identical to an unprofiled run.
-  {
-    const auto categories = trace::Tracer::Global().SummarizeByCategory();
-    const char* kFamilies[] = {
-        "fairgen_prof_span_cycles", "fairgen_prof_span_instructions",
-        "fairgen_prof_span_cache_misses", "fairgen_prof_span_branch_misses",
-        "fairgen_prof_span_ipc"};
-    // Family-outer iteration: the exposition format requires all samples
-    // of one family in a single group under its # TYPE line.
-    for (size_t f = 0; f < 5; ++f) {
-      std::string family_out;
-      for (const auto& [category, summary] : categories) {
-        if (summary.hw_count == 0) continue;
-        const double values[5] = {
-            static_cast<double>(summary.cycles),
-            static_cast<double>(summary.instructions),
-            static_cast<double>(summary.cache_misses),
-            static_cast<double>(summary.branch_misses),
-            summary.cycles > 0
-                ? static_cast<double>(summary.instructions) /
-                      static_cast<double>(summary.cycles)
-                : 0.0};
-        family_out += std::string(kFamilies[f]) + "{cat=\"" + category +
-                      "\"} " + FormatValue(values[f]) + "\n";
-      }
-      if (!family_out.empty()) {
-        out += std::string("# TYPE ") + kFamilies[f] + " gauge\n";
-        out += family_out;
-      }
-    }
   }
 
   const metrics::MetricsRegistry& registry =
@@ -258,18 +219,7 @@ std::string SnapshotJson(const std::string& run_id, uint64_t sequence,
     out += JsonQuote(category) + ": {\"count\": " +
            std::to_string(summary.count) +
            ", \"wall_ns\": " + std::to_string(summary.wall_ns) +
-           ", \"cpu_ns\": " + std::to_string(summary.cpu_ns);
-    if (summary.hw_count > 0) {
-      // Hardware-counter aggregate of the spans profiled with perf_event
-      // available; absent (not zero) otherwise, so consumers can
-      // distinguish "no misses" from "not measured".
-      out += ", \"hw_spans\": " + std::to_string(summary.hw_count) +
-             ", \"cycles\": " + std::to_string(summary.cycles) +
-             ", \"instructions\": " + std::to_string(summary.instructions) +
-             ", \"cache_misses\": " + std::to_string(summary.cache_misses) +
-             ", \"branch_misses\": " + std::to_string(summary.branch_misses);
-    }
-    out += "}";
+           ", \"cpu_ns\": " + std::to_string(summary.cpu_ns) + "}";
   }
   out += "},\n";
   out += "  \"spans_dropped\": " + std::to_string(tracer.dropped()) + ",\n";
@@ -296,19 +246,14 @@ Publisher::~Publisher() {
   // they are destroyed. The destructor only ever runs in normal context:
   // the global instance is leaked precisely so signal handlers never
   // race it.
-  if (snapshot_thread_.joinable() || server_thread_.joinable()) {
+  if (snapshot_thread_.joinable()) {
     running_.store(false, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> lock(mu_);
       stop_.store(true, std::memory_order_relaxed);
     }
     cv_.notify_all();
-    if (snapshot_thread_.joinable()) snapshot_thread_.join();
-    if (server_thread_.joinable()) server_thread_.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    snapshot_thread_.join();
   }
 }
 
@@ -359,21 +304,13 @@ Status Publisher::Init() {
     events::Journal::Global().Emit(std::move(event));
   }
   FAIRGEN_RETURN_NOT_OK(WriteManifest(false, -1, 0));
-  if (options_.serve) FAIRGEN_RETURN_NOT_OK(StartServer());
   running_.store(true, std::memory_order_relaxed);
   FAIRGEN_RETURN_NOT_OK(SnapshotNow());
 
   if (options_.interval_ms > 0) {
     snapshot_thread_ = std::thread([this] { SnapshotLoop(); });
   }
-  if (options_.serve) {
-    server_thread_ = std::thread([this] { ServerLoop(); });
-  }
-  FAIRGEN_LOG(INFO) << "telemetry: run " << run_id_ << " -> " << run_dir_
-                    << (options_.serve
-                            ? " (http://127.0.0.1:" +
-                                  std::to_string(bound_port_) + "/metrics)"
-                            : "");
+  FAIRGEN_LOG(INFO) << "telemetry: run " << run_id_ << " -> " << run_dir_;
   return Status::OK();
 }
 
@@ -399,7 +336,6 @@ Status Publisher::WriteManifest(bool finalized, int exit_status,
          ", \"nproc\": " + std::to_string(host.nproc) + "},\n";
   out += "  \"start_unix_ms\": " + std::to_string(start_unix_ms_) + ",\n";
   out += "  \"interval_ms\": " + std::to_string(options_.interval_ms) + ",\n";
-  out += "  \"prometheus_port\": " + std::to_string(bound_port_) + ",\n";
   out += "  \"snapshots\": " +
          std::to_string(sequence_.load(std::memory_order_relaxed)) + ",\n";
   // exit_status is -1 while the run is live; the crash-flush and Stop
@@ -467,93 +403,6 @@ void Publisher::SnapshotLoop() {
   }
 }
 
-Status Publisher::StartServer() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket failed: ") +
-                           std::strerror(errno));
-  }
-  int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  // Localhost only — run telemetry must never be reachable off-host.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 8) != 0) {
-    Status s = Status::IOError(
-        "cannot listen on 127.0.0.1:" + std::to_string(options_.port) +
-        ": " + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
-                    &len) == 0) {
-    bound_port_ = ntohs(addr.sin_port);
-  }
-  return Status::OK();
-}
-
-void Publisher::ServerLoop() {
-  // Minimal HTTP/1.0 responder: poll with a short timeout so Stop() is
-  // honored promptly, one request per connection, Connection: close.
-  while (!stop_.load(std::memory_order_relaxed)) {
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
-    if (ready <= 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-
-    char request[2048] = {0};
-    const ssize_t got = ::read(client, request, sizeof(request) - 1);
-    std::string target = "/";
-    if (got > 0) {
-      // "GET <target> HTTP/1.x" — everything else 404s below.
-      const char* sp1 = std::strchr(request, ' ');
-      const char* sp2 = sp1 ? std::strchr(sp1 + 1, ' ') : nullptr;
-      if (sp1 != nullptr && sp2 != nullptr) {
-        target.assign(sp1 + 1, sp2);
-      }
-    }
-
-    std::string body;
-    std::string content_type = "text/plain; charset=utf-8";
-    int code = 200;
-    if (target == "/metrics" || target == "/") {
-      body = PrometheusText();
-      content_type = "text/plain; version=0.0.4; charset=utf-8";
-    } else if (target == "/snapshot") {
-      body = SnapshotJson(run_id_,
-                          sequence_.load(std::memory_order_relaxed),
-                          start_unix_ms_);
-      content_type = "application/json";
-    } else {
-      code = 404;
-      body = "not found\n";
-    }
-    std::string response =
-        std::string("HTTP/1.0 ") + (code == 200 ? "200 OK" : "404 Not Found") +
-        "\r\nContent-Type: " + content_type +
-        "\r\nContent-Length: " + std::to_string(body.size()) +
-        "\r\nConnection: close\r\n\r\n" + body;
-    size_t sent = 0;
-    while (sent < response.size()) {
-      const ssize_t n =
-          ::write(client, response.data() + sent, response.size() - sent);
-      if (n <= 0) break;
-      sent += static_cast<size_t>(n);
-    }
-    ::close(client);
-  }
-}
-
 void Publisher::Stop(int exit_status) {
   // A crash flush already wrote the authoritative manifest (128+sig) and
   // may be running on a signal handler's stack — do not join threads or
@@ -566,11 +415,6 @@ void Publisher::Stop(int exit_status) {
   }
   cv_.notify_all();
   if (snapshot_thread_.joinable()) snapshot_thread_.join();
-  if (server_thread_.joinable()) server_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
   {
     events::Event event;
     event.type = events::Type::kConfig;
@@ -630,6 +474,12 @@ namespace {
 
 std::atomic<Publisher*> g_publisher{nullptr};
 
+// Who owns the end of the process. The first signal moves it from kIdle
+// to kFlushing and its flush ends the process; a normal exit moves it to
+// kExiting (EndSignalFlush) and ends the process with its own status.
+enum FlushState : int { kIdle, kFlushing, kExiting };
+std::atomic<int> g_flush_state{kIdle};
+
 }  // namespace
 
 Result<Publisher*> Publisher::StartGlobal(PublisherOptions options) {
@@ -645,7 +495,14 @@ Result<Publisher*> Publisher::StartGlobal(PublisherOptions options) {
     delete publisher;
     return s;
   }
-  g_publisher.store(publisher, std::memory_order_release);
+  g_publisher.store(publisher);
+  // A signal flush claims g_flush_state before it reads g_publisher, so
+  // once the new instance is published (both seq_cst) a flush that has
+  // not claimed yet can only reach the new one. If one has, it may be
+  // using the old instance, and the process is ending anyway.
+  if (existing != nullptr && g_flush_state.load() != kFlushing) {
+    delete existing;
+  }
   return publisher;
 }
 
@@ -661,11 +518,6 @@ void Publisher::StopGlobal(int exit_status) {
 namespace {
 
 void (*g_extra_flush)() = nullptr;
-// Who owns the end of the process. The first signal moves it from kIdle
-// to kFlushing and its flush ends the process; a normal exit moves it to
-// kExiting (EndSignalFlush) and ends the process with its own status.
-enum FlushState : int { kIdle, kFlushing, kExiting };
-std::atomic<int> g_flush_state{kIdle};
 // Set while the SIGABRT flush runs inside its handler.
 std::atomic<bool> g_flush_in_handler{false};
 // Self-pipe from the SIGINT/SIGTERM handler to the flush thread.

@@ -73,13 +73,6 @@ struct PublisherOptions {
   /// `snapshot.json` and `metrics.prom` inside it.
   std::string dir;
 
-  /// Serve the Prometheus exposition over HTTP when true. `port` 0 binds
-  /// an ephemeral port (reported by `bound_port()` and in the manifest).
-  /// The listener binds 127.0.0.1 only — telemetry is never exposed
-  /// beyond the host.
-  bool serve = false;
-  uint16_t port = 0;
-
   /// Period of the background snapshot (snapshot.json + metrics.prom).
   /// 0 disables the periodic thread; snapshots then happen only at
   /// `SnapshotNow`/`Stop`/crash flush.
@@ -100,9 +93,9 @@ struct PublisherOptions {
 ///
 /// `Init` creates the run directory, writes the starting manifest
 /// (`run.json`, `finalized: false`), takes snapshot 0 and starts the
-/// snapshot/server threads. `Stop` takes a final snapshot, finalizes the
+/// snapshot thread. `Stop` takes a final snapshot, finalizes the
 /// manifest with the end timestamp and exit status, and joins the
-/// threads. The run directory is the unit `fairgen_report` consumes.
+/// thread. The run directory is the unit `fairgen_report` consumes.
 class Publisher {
  public:
   explicit Publisher(PublisherOptions options);
@@ -112,18 +105,18 @@ class Publisher {
   Publisher& operator=(const Publisher&) = delete;
 
   /// Creates the run dir, writes the manifest and snapshot 0, starts the
-  /// background threads. Errors leave no threads running.
+  /// background thread. Errors leave no thread running.
   Status Init();
 
   /// Final snapshot + finalized manifest (`end_unix_ms`, `exit_status`,
-  /// `finalized: true`), then joins the threads. Idempotent.
+  /// `finalized: true`), then joins the thread. Idempotent.
   void Stop(int exit_status);
 
   /// Takes one snapshot immediately (snapshot.json + metrics.prom).
   Status SnapshotNow();
 
   /// Crash flush: one last snapshot and a finalized manifest recording
-  /// `exit_status`, without joining threads. Re-entrant calls return
+  /// `exit_status`, without joining the thread. Re-entrant calls return
   /// immediately. With `from_signal_handler` (the SIGABRT path) it skips
   /// the snapshot mutex and reads the registry best-effort; it is not
   /// strictly async-signal-safe (it allocates), so if the crash
@@ -135,9 +128,6 @@ class Publisher {
 
   const std::string& run_id() const { return run_id_; }
   const std::string& run_dir() const { return run_dir_; }
-  /// Actual serving port after bind (== options.port unless 0), 0 when
-  /// not serving.
-  uint16_t bound_port() const { return bound_port_; }
   uint64_t snapshots_written() const {
     return sequence_.load(std::memory_order_relaxed);
   }
@@ -147,7 +137,8 @@ class Publisher {
   /// @{
   /// Starts the global publisher; `FailedPrecondition` if one is already
   /// running. The instance is leaked on purpose (signal handlers may
-  /// reach it at any point of shutdown).
+  /// reach it at any point of shutdown); a stopped one it replaces is
+  /// freed unless a signal flush has begun.
   static Result<Publisher*> StartGlobal(PublisherOptions options);
   /// The running global publisher, or nullptr.
   static Publisher* Get();
@@ -159,9 +150,7 @@ class Publisher {
   Status WriteManifest(bool finalized, int exit_status,
                        uint64_t end_unix_ms);
   Status WriteSnapshotFiles();
-  Status StartServer();
   void SnapshotLoop();
-  void ServerLoop();
 
   PublisherOptions options_;
   std::string run_id_;
@@ -176,9 +165,6 @@ class Publisher {
   std::mutex mu_;              // guards cv_ wakeups and file writes
   std::condition_variable cv_;
   std::thread snapshot_thread_;
-  std::thread server_thread_;
-  int listen_fd_ = -1;
-  uint16_t bound_port_ = 0;
 };
 
 /// \brief Installs best-effort SIGINT/SIGTERM/SIGABRT handlers that flush

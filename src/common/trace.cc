@@ -10,7 +10,6 @@
 #include <fstream>
 
 #include "common/metrics.h"
-#include "common/prof.h"
 #include "common/strings.h"
 
 namespace fairgen {
@@ -223,13 +222,6 @@ Tracer::SummarizeByCategory() const {
       ++sum.count;
       sum.wall_ns += s.wall_ns;
       sum.cpu_ns += s.cpu_ns;
-      if (s.hw_valid) {
-        ++sum.hw_count;
-        sum.cycles += s.cycles;
-        sum.instructions += s.instructions;
-        sum.cache_misses += s.cache_misses;
-        sum.branch_misses += s.branch_misses;
-      }
     }
   }
   std::vector<std::pair<std::string, CategorySummary>> out;
@@ -249,29 +241,17 @@ std::string Tracer::ToJson() const {
   for (size_t i = 0; i < spans.size(); ++i) {
     const SpanRecord& s = spans[i];
     char buf[512];
-    // Hardware-counter fields appear only on spans that carried a valid
-    // perf_event reading — absent, not zero, when profiling was off.
-    char hw[192] = {0};
-    if (s.hw_valid) {
-      std::snprintf(hw, sizeof(hw),
-                    ", \"cycles\": %llu, \"instructions\": %llu, "
-                    "\"cache_misses\": %llu, \"branch_misses\": %llu",
-                    static_cast<unsigned long long>(s.cycles),
-                    static_cast<unsigned long long>(s.instructions),
-                    static_cast<unsigned long long>(s.cache_misses),
-                    static_cast<unsigned long long>(s.branch_misses));
-    }
     std::snprintf(buf, sizeof(buf),
                   "%s\n  {\"name\": \"%s\", \"cat\": \"%s\", "
                   "\"start_ns\": %llu, "
                   "\"wall_ns\": %llu, \"cpu_ns\": %llu, \"depth\": %u, "
-                  "\"thread\": %u%s}",
+                  "\"thread\": %u}",
                   i > 0 ? "," : "", JsonEscape(s.name).c_str(),
                   std::string(CategoryName(s.category)).c_str(),
                   static_cast<unsigned long long>(s.start_ns),
                   static_cast<unsigned long long>(s.wall_ns),
                   static_cast<unsigned long long>(s.cpu_ns), s.depth,
-                  s.thread, hw);
+                  s.thread);
     out += buf;
   }
   out += spans.empty() ? "]\n" : "\n]\n";
@@ -403,19 +383,6 @@ ScopedSpan::ScopedSpan(std::string_view name, Category category) {
   name_ = Tracer::Global().InternName(name);
   category_ = category;
   depth_ = t_depth++;
-  // Counter read before the clocks so the perf_event syscall is not
-  // billed to the span's wall/CPU time. Invalid (profiler off,
-  // perf_event unavailable) simply leaves the annotation absent.
-  if (prof::Profiler::Global().running()) {
-    prof::HwCounters start = prof::ReadThreadCounters();
-    if (start.valid) {
-      hw_valid_ = true;
-      start_cycles_ = start.cycles;
-      start_instructions_ = start.instructions;
-      start_cache_misses_ = start.cache_misses;
-      start_branch_misses_ = start.branch_misses;
-    }
-  }
   start_wall_ns_ = SteadyNowNs();
   start_cpu_ns_ = ThreadCpuNs();
 }
@@ -435,19 +402,6 @@ ScopedSpan::~ScopedSpan() {
   record.cpu_start_ns = start_cpu_ns_;
   record.depth = depth_;
   record.thread = tracer.ThreadIndex();
-  if (hw_valid_) {
-    // Both ends must read cleanly; a span straddling Profiler::Stop
-    // loses its annotation (the end-side read reports invalid) rather
-    // than recording a partial delta.
-    prof::HwCounters end = prof::ReadThreadCounters();
-    if (end.valid && end.cycles >= start_cycles_) {
-      record.hw_valid = true;
-      record.cycles = end.cycles - start_cycles_;
-      record.instructions = end.instructions - start_instructions_;
-      record.cache_misses = end.cache_misses - start_cache_misses_;
-      record.branch_misses = end.branch_misses - start_branch_misses_;
-    }
-  }
   // start_ns is relative to the tracer epoch so traces from one process
   // line up on a common timeline.
   record.start_ns =

@@ -34,12 +34,6 @@ std::string_view CategoryName(Category category);
 /// \brief One completed span: a named scope with wall- and CPU-clock
 /// durations, its nesting depth on the recording thread, and a stable
 /// per-thread index (assigned in first-span order, not an OS id).
-///
-/// When the sampling profiler is running with hardware counters
-/// available (common/prof.h), spans additionally carry the perf_event
-/// deltas of the recording thread across the span; `hw_valid` gates all
-/// four fields — false means "annotation absent" (profiler off or
-/// perf_event unavailable), never "zero events".
 struct SpanRecord {
   std::string name;
   Category category = Category::kGeneral;
@@ -49,28 +43,15 @@ struct SpanRecord {
   uint64_t cpu_start_ns = 0;  ///< absolute CLOCK_THREAD_CPUTIME_ID at start
   uint32_t depth = 0;         ///< nesting depth within the recording thread
   uint32_t thread = 0;        ///< stable thread index
-  bool hw_valid = false;      ///< the four counter deltas below are real
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t cache_misses = 0;
-  uint64_t branch_misses = 0;
 };
 
 /// \brief Wall/CPU aggregate of the retained spans of one category — the
 /// per-stage breakdown the telemetry snapshot and `fairgen_report` show
-/// without shipping every span. The hardware-counter sums cover only the
-/// `hw_count` spans that carried valid annotations, so IPC computed from
-/// them is internally consistent even when profiling covered part of the
-/// run.
+/// without shipping every span.
 struct CategorySummary {
   uint64_t count = 0;
   uint64_t wall_ns = 0;
   uint64_t cpu_ns = 0;
-  uint64_t hw_count = 0;  ///< spans with hw_valid among `count`
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t cache_misses = 0;
-  uint64_t branch_misses = 0;
 };
 
 /// \brief Process-wide span collector. Collection is off by default —
@@ -201,18 +182,11 @@ class ScopedSpan {
 
  private:
   bool active_ = false;
-  bool hw_valid_ = false;  // start-side hardware-counter read succeeded
   std::string_view name_;  // interned; stable for the tracer's lifetime
   Category category_ = Category::kGeneral;
   uint64_t start_wall_ns_ = 0;
   uint64_t start_cpu_ns_ = 0;
   uint32_t depth_ = 0;
-  // perf_event readings at span entry (common/prof.h), meaningful only
-  // when hw_valid_.
-  uint64_t start_cycles_ = 0;
-  uint64_t start_instructions_ = 0;
-  uint64_t start_cache_misses_ = 0;
-  uint64_t start_branch_misses_ = 0;
 };
 
 }  // namespace trace

@@ -550,8 +550,8 @@ EdgeScoreAccumulator FairGenTrainer::AccumulateWalks(Rng& rng) const {
       });
 }
 
-void FairGenTrainer::RunFairnessProbe(uint32_t cycle) {
-  trace::ScopedSpan span("trainer.fairness_probe", trace::Category::kEval);
+FairGenTrainer::FairnessProbe FairGenTrainer::ReadFairnessProbe(
+    uint32_t cycle) const {
   // Probe-local RNG keyed by the cycle: deterministic for a given cycle,
   // and strictly separate from the training stream (observation-only
   // contract — enabling the probe must not move a single training draw).
@@ -578,12 +578,9 @@ void FairGenTrainer::RunFairnessProbe(uint32_t cycle) {
     }
     protected_nll = MeanWalkNll(model_->generator(), prot);
   }
-  const double gap = protected_nll - overall_nll;
 
-  // Discrepancy: a small generation pass (1x the original edge count,
-  // a fraction of the final generation budget) assembled under the
-  // standard criteria, scored with the stats/discrepancy metric vector.
-  double discrepancy_mean = 0.0;
+  // A small generation pass (1x the original edge count, a fraction of
+  // the final generation budget) assembled under the standard criteria.
   EdgeScoreAccumulator acc = AccumulateWalkScores(
       fitted_graph_.num_nodes(), fitted_graph_.num_edges(),
       config_.num_threads, probe_rng, [this] {
@@ -598,33 +595,60 @@ void FairGenTrainer::RunFairnessProbe(uint32_t cycle) {
   AssemblerCriteria criteria;
   criteria.preserve_protected_volume = !protected_set_.empty();
   criteria.ensure_min_degree = true;
-  Result<Graph> generated = AssembleFairGraph(
-      acc, fitted_graph_, protected_set_, criteria, probe_rng, nullptr);
-  if (generated.ok()) {
-    auto overall_disc = OverallDiscrepancy(fitted_graph_, *generated);
+  return FairnessProbe{overall_nll, protected_nll,
+                       AssembleFairGraph(acc, fitted_graph_, protected_set_,
+                                         criteria, probe_rng, nullptr)};
+}
+
+void FairGenTrainer::RunFairnessProbe(uint32_t cycle) {
+  trace::ScopedSpan span("trainer.fairness_probe", trace::Category::kEval);
+  const FairnessProbe probe = ReadFairnessProbe(cycle);
+  const double gap = probe.protected_nll - probe.overall_nll;
+
+  // Discrepancy of the probe release, scored with the stats/discrepancy
+  // metric vectors: overall R and, when there is a protected set, R+.
+  double discrepancy_mean = 0.0;
+  double protected_discrepancy_mean = 0.0;
+  if (probe.release.ok()) {
+    auto overall_disc = OverallDiscrepancy(fitted_graph_, *probe.release);
     if (overall_disc.ok()) {
       discrepancy_mean = MeanDiscrepancy(*overall_disc);
     }
+    if (!protected_set_.empty()) {
+      auto protected_disc = ProtectedDiscrepancy(
+          fitted_graph_, *probe.release, protected_set_);
+      if (protected_disc.ok()) {
+        protected_discrepancy_mean = MeanDiscrepancy(*protected_disc);
+      }
+    }
   } else {
     FAIRGEN_LOG(WARNING) << "fairness probe assembly failed: "
-                         << generated.status().ToString();
+                         << probe.release.status().ToString();
   }
 
   const double step = static_cast<double>(cycle);
   metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
-  registry.GetSeries("probe.overall_nll").Append(step, overall_nll);
-  registry.GetSeries("probe.protected_nll").Append(step, protected_nll);
+  registry.GetSeries("probe.overall_nll").Append(step, probe.overall_nll);
+  registry.GetSeries("probe.protected_nll").Append(step, probe.protected_nll);
   registry.GetSeries("probe.disparity_gap").Append(step, gap);
   registry.GetSeries("probe.discrepancy_mean").Append(step, discrepancy_mean);
+  if (!protected_set_.empty()) {
+    registry.GetSeries("probe.protected_discrepancy_mean")
+        .Append(step, protected_discrepancy_mean);
+  }
 
   events::Event event;
   event.type = events::Type::kProbe;
   event.name = "fairness";
   event.epoch = step;
-  event.fields = {{"overall_nll", overall_nll},
-                  {"protected_nll", protected_nll},
+  event.fields = {{"overall_nll", probe.overall_nll},
+                  {"protected_nll", probe.protected_nll},
                   {"disparity_gap", gap},
                   {"discrepancy_mean", discrepancy_mean}};
+  if (!protected_set_.empty()) {
+    event.fields.emplace_back("protected_discrepancy_mean",
+                              protected_discrepancy_mean);
+  }
   events::Journal::Global().Emit(std::move(event));
 }
 
@@ -1132,10 +1156,6 @@ Status FairGenTrainer::WritePendingCheckpoint() {
     cycle = pending_.cycle;
   }
   RotateCheckpoints(config_.checkpoint.dir, config_.checkpoint.retain);
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
-  registry.GetCounter("checkpoint.writes").Increment();
-  registry.GetCounter("checkpoint.bytes").Increment(bytes);
-  registry.GetGauge("checkpoint.last_epoch").Set(static_cast<double>(cycle));
   events::Event event;
   event.type = events::Type::kCheckpoint;
   event.name = "write";

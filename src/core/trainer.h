@@ -132,6 +132,22 @@ class FairGenTrainer : public GraphGenerator {
 
   const FairGenConfig& config() const { return config_; }
 
+  /// \brief One reading of the in-training fairness probe on the live
+  /// model.
+  struct FairnessProbe {
+    double overall_nll;    ///< R(θ): mean NLL of held-out uniform walks
+    double protected_nll;  ///< R_{S+}(θ): walks started inside S+
+    /// Small release (1x the original edge count, standard assembly
+    /// criteria) that the probe scores R and R+ on.
+    Result<Graph> release;
+  };
+
+  /// Reads the probe of `cycle` (what `FairGenConfig::probe_every`
+  /// publishes). Draws only from a probe-local cycle-keyed RNG — never the
+  /// training stream — so it is deterministic for a given model state and
+  /// cycle. Requires Fit or Prepare.
+  FairnessProbe ReadFairnessProbe(uint32_t cycle) const;
+
  private:
   /// Decoded training state of a checkpoint, fully validated before any
   /// of it is committed to the trainer (no partial restores).
@@ -187,12 +203,11 @@ class FairGenTrainer : public GraphGenerator {
   /// `trainer.nonfinite_batches`.
   double TrainGenerator(Rng& rng);
 
-  /// In-training fairness probe (`--probe-every`): held-out-walk
-  /// disparity (R(θ) vs R_{S+}(θ)) and a small-generation discrepancy
-  /// estimate on the live model, published as `probe.*` metric series and
-  /// a `probe` journal event. Draws only from a probe-local cycle-keyed
-  /// RNG — never the training stream — so probed and unprobed runs
-  /// produce bit-identical outputs.
+  /// In-training fairness probe (`--probe-every`): ReadFairnessProbe's
+  /// held-out-walk disparity (R(θ) vs R_{S+}(θ)) and the mean R and R+ of
+  /// its release, published as `probe.*` metric series and a `probe`
+  /// journal event (R+ only when S+ is non-empty). Probed and unprobed
+  /// runs produce bit-identical outputs.
   void RunFairnessProbe(uint32_t cycle);
 
   /// T1 discriminator steps on N1-node minibatches; accumulates J_P/J_F/J_L

@@ -8,7 +8,10 @@
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -18,11 +21,22 @@ namespace {
 
 // std::system returns a wait status; the bench's exit code lives in
 // WEXITSTATUS. A bad flag exits before any dataset is built, so nothing
-// is written to the working directory.
-int RunBench(const std::string& flags) {
-  const std::string command = std::string(FAIRGEN_BENCH_BINARY_PATH) + " " +
-                              flags + " > /dev/null 2>&1";
+// is written to the working directory. With `stderr_out`, the bench's
+// stderr is captured into it.
+int RunBench(const std::string& flags, std::string* stderr_out = nullptr) {
+  const std::string err_path =
+      testing::TempDir() + "/bench_flags_stderr.txt";
+  const std::string command =
+      std::string(FAIRGEN_BENCH_BINARY_PATH) + " " + flags +
+      " > /dev/null 2> " + (stderr_out != nullptr ? err_path : "/dev/null");
   const int status = std::system(command.c_str());
+  if (stderr_out != nullptr) {
+    std::ifstream in(err_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    *stderr_out = text.str();
+    std::remove(err_path.c_str());
+  }
   if (status == -1 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
 }
@@ -35,6 +49,14 @@ TEST(BenchFlagsTest, MalformedNumericFlagsAreErrors) {
   EXPECT_EQ(RunBench("--seed=junk"), 2);
   EXPECT_EQ(RunBench("--threads=-2"), 2);
   EXPECT_EQ(RunBench("--seed=99999999999999999999999"), 2);
+}
+
+// There is no HTTP endpoint, so a script that still passes --telemetry-port
+// must fail loudly rather than run without it.
+TEST(BenchFlagsTest, TelemetryPortIsAnUnknownFlag) {
+  std::string err;
+  EXPECT_EQ(RunBench("--telemetry-port=9464", &err), 2);
+  EXPECT_NE(err.find("unknown flag"), std::string::npos) << err;
 }
 
 TEST(BenchFlagsTest, ScaleMustBeAFiniteNumberInUnitInterval) {

@@ -1,8 +1,5 @@
 #include "common/telemetry.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -35,29 +32,6 @@ std::string ReadWholeFile(const std::string& path) {
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
-}
-
-// Minimal blocking HTTP GET against 127.0.0.1:<port>; returns the whole
-// response (status line + headers + body), empty on connect failure.
-std::string HttpGet(uint16_t port, const std::string& target) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
-  (void)!::write(fd, request.data(), request.size());
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) response.append(buf, n);
-  ::close(fd);
-  return response;
 }
 
 TEST(TelemetryInfoTest, GitRevisionIsNonEmpty) {
@@ -258,34 +232,6 @@ TEST_F(PublisherTest, SnapshotNowAdvancesSequenceWithoutThread) {
   ASSERT_TRUE(publisher.SnapshotNow().ok());
   EXPECT_EQ(publisher.snapshots_written(), before + 1);
   publisher.Stop(0);
-}
-
-TEST_F(PublisherTest, ServesPrometheusAndSnapshotOverHttp) {
-  PublisherOptions options;
-  options.dir = MakeParentDir("http");
-  options.interval_ms = 50;
-  options.serve = true;
-  options.port = 0;  // ephemeral
-  Publisher publisher(options);
-  ASSERT_TRUE(publisher.Init().ok());
-  ASSERT_NE(publisher.bound_port(), 0);
-
-  std::string metrics = HttpGet(publisher.bound_port(), "/metrics");
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos) << metrics;
-  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_NE(metrics.find("fairgen_process_rss_bytes"), std::string::npos);
-
-  std::string snapshot = HttpGet(publisher.bound_port(), "/snapshot");
-  EXPECT_NE(snapshot.find("200 OK"), std::string::npos);
-  EXPECT_NE(snapshot.find("\"run_id\""), std::string::npos);
-
-  std::string missing = HttpGet(publisher.bound_port(), "/nope");
-  EXPECT_NE(missing.find("404"), std::string::npos);
-
-  const uint16_t port = publisher.bound_port();
-  publisher.Stop(0);
-  // The listener is down after Stop.
-  EXPECT_EQ(HttpGet(port, "/metrics"), "");
 }
 
 TEST_F(PublisherTest, CrashFlushFinalizesWithoutJoin) {

@@ -10,14 +10,16 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/events.h"
 #include "common/fileio.h"
-#include "common/metrics.h"
+#include "common/json.h"
 #include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
@@ -401,25 +403,37 @@ TEST(CheckpointResumeTest, EmergencyCheckpointPersistsLatestBoundary) {
   ExpectSameTrainedState(*resumed, *trainer);
 }
 
-TEST(CheckpointResumeTest, WriteMetricsAreRecorded) {
+// Each checkpoint write is recorded once, as a `checkpoint` journal
+// event carrying the file it wrote, its cycle and its size.
+TEST(CheckpointResumeTest, WritesAreJournaled) {
   Fixture fixture = MakeFixture();
-  const bool was_enabled = metrics::Enabled();
-  metrics::SetEnabled(true);
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
-  registry.GetCounter("checkpoint.writes").Reset();
-  registry.GetCounter("checkpoint.bytes").Reset();
-  registry.GetGauge("checkpoint.last_epoch").Reset();
+  events::Journal& journal = events::Journal::Global();
+  journal.ResetForTest();
 
   FairGenConfig cfg = ResumeConfig();
-  cfg.checkpoint.dir = UniqueDir("metrics");
+  cfg.checkpoint.dir = UniqueDir("journal");
   auto trainer = NewTrainer(cfg, fixture);
-  Status status = FitSeeded(*trainer, fixture.data.graph, 7);
-  metrics::SetEnabled(was_enabled);
-  ASSERT_TRUE(status.ok());
+  ASSERT_TRUE(FitSeeded(*trainer, fixture.data.graph, 7).ok());
 
-  EXPECT_EQ(registry.GetCounter("checkpoint.writes").value(), 3u);
-  EXPECT_GT(registry.GetCounter("checkpoint.bytes").value(), 0u);
-  EXPECT_EQ(registry.GetGauge("checkpoint.last_epoch").value(), 3.0);
+  const std::string log = cfg.checkpoint.dir + "/events.jsonl";
+  ASSERT_TRUE(journal.FlushTo(log).ok());
+  journal.ResetForTest();
+  std::vector<double> cycles;
+  std::ifstream in(log);
+  for (std::string line; std::getline(in, line);) {
+    Result<json::Value> record = json::Parse(line);
+    ASSERT_TRUE(record.ok()) << line;
+    if (record->GetString("type") != "checkpoint") continue;
+    const double cycle = record->GetDouble("epoch", -1);
+    cycles.push_back(cycle);
+    EXPECT_EQ(record->GetString("message"),
+              cfg.checkpoint.dir + "/" +
+                  CheckpointFileName(static_cast<uint32_t>(cycle)));
+    const json::Value* fields = record->Find("fields");
+    ASSERT_NE(fields, nullptr) << line;
+    EXPECT_GT(fields->GetDouble("bytes", 0), 0.0) << line;
+  }
+  EXPECT_EQ(cycles, (std::vector<double>{1, 2, 3}));
 }
 
 }  // namespace

@@ -6,17 +6,24 @@
 // `probe.*` series and journal events while leaving the generated graph
 // bit-identical.
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/events.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "core/trainer.h"
 #include "data/synthetic.h"
+#include "stats/discrepancy.h"
 
 namespace fairgen {
 namespace {
@@ -143,6 +150,52 @@ TEST_F(LossGuardTest, FairnessProbeIsObservationOnly) {
                 .size(),
             2u);
   EXPECT_EQ(events::Journal::Global().TypeCount(events::Type::kProbe), 2u);
+}
+
+TEST_F(LossGuardTest, FairnessProbeRecordsProtectedDiscrepancyOfItsRelease) {
+  LabeledGraph data = MakeData(9);
+  ASSERT_FALSE(data.protected_set.empty());
+  FairGenConfig cfg = QuickConfig();
+  cfg.probe_every = 1;
+  events::Journal::Global().ResetForTest();
+  FairGenTrainer trainer(cfg);
+  Rng few_rng(9);
+  ASSERT_TRUE(trainer
+                  .SetSupervision(FewShotLabels(data, 4, few_rng),
+                                  data.protected_set, data.num_classes)
+                  .ok());
+  Rng rng(9);
+  ASSERT_TRUE(trainer.Fit(data.graph, rng).ok());
+
+  // The last probe ran at the end of the final cycle, so the fitted model
+  // is the one it read: re-reading it rebuilds the same release.
+  const uint32_t last = cfg.self_paced_cycles - 1;
+  FairGenTrainer::FairnessProbe probe = trainer.ReadFairnessProbe(last);
+  ASSERT_TRUE(probe.release.ok()) << probe.release.status().ToString();
+  auto rplus =
+      ProtectedDiscrepancy(data.graph, *probe.release, data.protected_set);
+  ASSERT_TRUE(rplus.ok());
+
+  const std::string log = testing::TempDir() + "/fairgen_probe_events_" +
+                          std::to_string(::getpid()) + ".jsonl";
+  std::remove(log.c_str());
+  ASSERT_TRUE(events::Journal::Global().FlushTo(log).ok());
+  std::ifstream in(log);
+  std::vector<double> epochs;
+  for (std::string line; std::getline(in, line);) {
+    auto record = json::Parse(line);
+    ASSERT_TRUE(record.ok()) << line;
+    if (record->GetString("type") != "probe") continue;
+    epochs.push_back(record->GetDouble("epoch", -1));
+    const json::Value* field =
+        record->Find("fields")->Find("protected_discrepancy_mean");
+    ASSERT_NE(field, nullptr) << line;
+    if (epochs.back() == last) {
+      EXPECT_EQ(field->AsDouble(), MeanDiscrepancy(*rplus));
+    }
+  }
+  std::remove(log.c_str());
+  EXPECT_EQ(epochs, (std::vector<double>{0, 1}));
 }
 
 }  // namespace

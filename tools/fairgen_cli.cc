@@ -69,7 +69,6 @@ struct Options {
   uint32_t checkpoint_every = 1;
   uint32_t checkpoint_retain = 3;
   bool resume = false;
-  int32_t telemetry_port = -1;        // -1 = no HTTP endpoint
   uint32_t telemetry_interval_ms = 1000;
   uint32_t profile_hz = 0;            // 0 = profiler off
   bool watchdog = false;
@@ -108,13 +107,10 @@ int Usage() {
       "       --telemetry-dir=<d>   live telemetry: per-run dir under <d>\n"
       "                             with run.json + periodic snapshot.json\n"
       "                             and metrics.prom (atomic renames)\n"
-      "       --telemetry-port=<n>  serve Prometheus text exposition on\n"
-      "                             127.0.0.1:<n> (0 = ephemeral port;\n"
-      "                             requires --telemetry-dir)\n"
       "       --telemetry-interval-ms=<n>  snapshot period (default 1000)\n"
       "       --profile-hz=<n>      sampling profiler at <n> Hz: stack\n"
-      "                             samples + hw counters; profile.folded\n"
-      "                             and profile_top.json land in the\n"
+      "                             samples; profile.folded and\n"
+      "                             profile_top.json land in the\n"
       "                             --telemetry-dir run dir (FAIRGEN_PROF_HZ\n"
       "                             is the fallback when the flag is absent)\n"
       "       --watchdog            run-health rule engine on the telemetry\n"
@@ -137,14 +133,13 @@ int Usage() {
 }
 
 // Strict numeric-flag parsing (common/strings ParseInt/ParseUint): the
-// whole value must be a base-10 integer in range. `--telemetry-port=abc`,
+// whole value must be a base-10 integer in range. `--cycles=abc`,
 // `--walks=12x`, or a negative value for an unsigned flag are flag errors
 // (exit code 2 via Usage), never a silent 0 or a wrapped huge unsigned —
 // which is what the old null-endptr strtol/strtoul calls produced.
 template <typename T>
-Status ParseUintFlag(std::string_view flag, std::string_view text, T* out,
-                     uint64_t max_value = std::numeric_limits<T>::max()) {
-  Result<uint64_t> parsed = ParseUint(text, max_value);
+Status ParseUintFlag(std::string_view flag, std::string_view text, T* out) {
+  Result<uint64_t> parsed = ParseUint(text, std::numeric_limits<T>::max());
   if (!parsed.ok()) {
     return Status::InvalidArgument("bad " + std::string(flag) + "='" +
                                    std::string(text) + "': " +
@@ -211,12 +206,6 @@ Result<Options> Parse(int argc, char** argv) {
       opts.trace_out_path = value("--trace-out=");
     } else if (StrStartsWith(arg, "--telemetry-dir=")) {
       opts.telemetry_dir = value("--telemetry-dir=");
-    } else if (StrStartsWith(arg, "--telemetry-port=")) {
-      uint32_t port = 0;
-      FAIRGEN_RETURN_NOT_OK(ParseUintFlag("--telemetry-port",
-                                          value("--telemetry-port="), &port,
-                                          /*max_value=*/65535));
-      opts.telemetry_port = static_cast<int32_t>(port);
     } else if (StrStartsWith(arg, "--telemetry-interval-ms=")) {
       FAIRGEN_RETURN_NOT_OK(ParseUintFlag("--telemetry-interval-ms",
                                           value("--telemetry-interval-ms="),
@@ -605,10 +594,6 @@ void SignalExtraFlush() {
 // Starts the live-telemetry publisher when --telemetry-dir was given.
 Status StartTelemetry(const Options& opts, int argc, char** argv) {
   if (opts.telemetry_dir.empty()) {
-    if (opts.telemetry_port >= 0) {
-      return Status::InvalidArgument(
-          "--telemetry-port requires --telemetry-dir");
-    }
     if (opts.watchdog) {
       return Status::InvalidArgument("--watchdog requires --telemetry-dir");
     }
@@ -632,9 +617,6 @@ Status StartTelemetry(const Options& opts, int argc, char** argv) {
   }
   telemetry::PublisherOptions pub;
   pub.dir = opts.telemetry_dir;
-  pub.serve = opts.telemetry_port >= 0;
-  pub.port = static_cast<uint16_t>(
-      opts.telemetry_port < 0 ? 0 : opts.telemetry_port);
   pub.interval_ms = opts.telemetry_interval_ms;
   pub.binary = argc > 0 ? argv[0] : "fairgen";
   for (int i = 1; i < argc; ++i) pub.args.emplace_back(argv[i]);
@@ -644,10 +626,6 @@ Status StartTelemetry(const Options& opts, int argc, char** argv) {
                            telemetry::Publisher::StartGlobal(std::move(pub)));
   std::fprintf(stderr, "telemetry run dir: %s\n",
                publisher->run_dir().c_str());
-  if (publisher->bound_port() != 0) {
-    std::fprintf(stderr, "telemetry endpoint: http://127.0.0.1:%u/metrics\n",
-                 publisher->bound_port());
-  }
   return Status::OK();
 }
 
@@ -681,9 +659,7 @@ int Main(int argc, char** argv) {
                    prof_start.ToString().c_str());
       return Usage();
     }
-    std::fprintf(stderr, "profiling at %u Hz%s\n", opts->profile_hz,
-                 prof::Profiler::Global().hw_available()
-                     ? " (hw counters on)" : "");
+    std::fprintf(stderr, "profiling at %u Hz\n", opts->profile_hz);
   }
   // Crash-safe flush: a SIGTERM/SIGINT/abort mid-run still leaves a final
   // snapshot, a finalized manifest (exit status 128+sig) and the

@@ -17,12 +17,12 @@
 //            warnings (dropped trace spans)
 //   #curves  training curves (NLL, self-paced lambda, parity regulariser,
 //            total loss) as SVG polylines, one per run
-//   #stages  per-stage wall/CPU breakdown from the span summaries, with
-//            IPC / cache-miss annotations when hardware counters ran
+//   #stages  per-stage wall/CPU breakdown from the span summaries
 //   #memory  RSS-over-time from the mem.rss_bytes series
 //   #alerts  watchdog alerts from events.jsonl plus the fairness trend
-//            of the in-training probes (probe.disparity_gap /
-//            probe.discrepancy_mean series)
+//            of the in-training probes (probe.disparity_gap,
+//            probe.discrepancy_mean and probe.protected_discrepancy_mean
+//            series)
 //   #profile sampling-profiler top symbols (profile_top.json, when present)
 //   #compare final counter/gauge values side by side
 
@@ -406,19 +406,6 @@ std::string StageTable(const std::vector<RunData>& runs) {
       const double pct =
           total > 0 ? entry->GetDouble("wall_ns", 0) / total * 100.0 : 0;
       html += "<td>" + FormatG(wall_ms) + " / " + FormatG(cpu_ms);
-      // Hardware-counter annotation: present only for runs profiled with
-      // perf_event available (the snapshot omits the fields otherwise).
-      const double cycles = entry->GetDouble("cycles", 0);
-      const double instructions = entry->GetDouble("instructions", 0);
-      if (entry->Find("hw_spans") != nullptr && cycles > 0) {
-        const double ipc = instructions / cycles;
-        const double miss_per_ki =
-            instructions > 0
-                ? entry->GetDouble("cache_misses", 0) / instructions * 1e3
-                : 0;
-        html += "<div class=\"hw\">ipc " + FormatG(ipc) + " &middot; " +
-                FormatG(miss_per_ki) + " cache miss/ki</div>";
-      }
       html += "<div class=\"bar\" style=\"width:" + FormatG(pct) +
               "%\"></div></td>";
     }
@@ -564,7 +551,6 @@ std::string RenderReport(const std::vector<RunData>& runs,
       ".xlab{font-size:10px;fill:#555}\n"
       ".legend{font-size:11px;fill:#333}\n"
       ".bar{height:4px;background:#0072B2;margin-top:2px}\n"
-      ".hw{color:#555;font-size:11px}\n"
       ".warnbadge{background:#D55E00;color:#fff;border-radius:3px;"
       "padding:1px 6px;font-size:11px;white-space:nowrap}\n"
       ".missing{color:#888;font-style:italic}\n"
@@ -601,8 +587,11 @@ std::string RenderReport(const std::vector<RunData>& runs,
   html += CrossRunChart(runs, "probe.disparity_gap",
                         "probe disparity gap R_S+ - R (probe.disparity_gap)");
   html += CrossRunChart(runs, "probe.discrepancy_mean",
-                        "probe generation discrepancy "
+                        "probe generation discrepancy R "
                         "(probe.discrepancy_mean)");
+  html += CrossRunChart(runs, "probe.protected_discrepancy_mean",
+                        "probe protected-group discrepancy R+ "
+                        "(probe.protected_discrepancy_mean)");
   html += "</section>\n";
 
   html += "<section id=\"profile\">\n<h2>Profiler top symbols</h2>\n" +
