@@ -131,13 +131,15 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
           "  --watchdog                 run-health rule engine on the\n"
           "                             telemetry tick (requires\n"
           "                             --telemetry-dir): alert events in\n"
-          "                             events.jsonl + fairgen_alerts_total;\n"
-          "                             fatal rules abort (128+SIGTERM)\n"
+          "                             events.jsonl; fatal rules abort\n"
+          "                             (128+SIGTERM)\n"
           "  --rss-budget-mb=<n>        fatal watchdog rule: abort when RSS\n"
           "                             exceeds <n> MiB (requires --watchdog)\n"
           "  --probe-every=<n>          in-training fairness probe every <n>\n"
-          "                             self-paced cycles (FairGen fits;\n"
-          "                             outputs stay bit-identical)\n",
+          "                             self-paced cycles (requires\n"
+          "                             --telemetry-dir; probe events in\n"
+          "                             events.jsonl; FairGen fits; outputs\n"
+          "                             stay bit-identical)\n",
           description);
       std::exit(0);
     } else if (StrStartsWith(arg, "--scale=")) {
@@ -210,6 +212,10 @@ BenchOptions ParseOptions(int argc, char** argv, const char* description) {
   if (options.threads != 0) SetDefaultNumThreads(options.threads);
   if (options.watchdog && options.telemetry_dir.empty()) {
     std::fprintf(stderr, "--watchdog requires --telemetry-dir\n");
+    std::exit(2);
+  }
+  if (options.probe_every > 0 && options.telemetry_dir.empty()) {
+    std::fprintf(stderr, "--probe-every requires --telemetry-dir\n");
     std::exit(2);
   }
   if (options.rss_budget_mb > 0 && !options.watchdog) {

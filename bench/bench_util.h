@@ -52,7 +52,8 @@ struct BenchOptions {
                                      ///< --watchdog; 0 = off)
   uint32_t probe_every = 0;          ///< --probe-every=<n>: in-training
                                      ///< fairness probe cadence in cycles
-                                     ///< (FairGen fits only; 0 = off)
+                                     ///< (FairGen fits only; requires
+                                     ///< --telemetry-dir; 0 = off)
 
   /// Effective dataset scale.
   double EffectiveScale() const { return full ? 1.0 : scale; }

@@ -2,9 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <utility>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/strings.h"
 
@@ -48,6 +51,13 @@ const char* TypeName(Type type) {
   return "unknown";
 }
 
+const double* Event::Field(std::string_view key) const {
+  for (const auto& [name, value] : fields) {
+    if (name == key) return &value;
+  }
+  return nullptr;
+}
+
 std::string ToJsonLine(const Event& event) {
   std::string out = "{\"seq\": " + std::to_string(event.seq);
   out += ", \"unix_ms\": " + std::to_string(event.unix_ms);
@@ -70,6 +80,65 @@ std::string ToJsonLine(const Event& event) {
   }
   out += "}}";
   return out;
+}
+
+Result<Event> ParseJsonLine(std::string_view line) {
+  FAIRGEN_ASSIGN_OR_RETURN(json::Value doc, json::Parse(line));
+  const json::Value* seq = doc.Find("seq");
+  const json::Value* unix_ms = doc.Find("unix_ms");
+  const json::Value* type = doc.Find("type");
+  const json::Value* name = doc.Find("name");
+  const json::Value* fields = doc.Find("fields");
+  if (seq == nullptr || !seq->is_number() || unix_ms == nullptr ||
+      !unix_ms->is_number() || type == nullptr || !type->is_string() ||
+      name == nullptr || !name->is_string() || fields == nullptr ||
+      !fields->is_object()) {
+    return Status::InvalidArgument(
+        "event record needs numeric seq/unix_ms, string type/name and a "
+        "fields object");
+  }
+  Event event;
+  bool known = false;
+  for (int t = 0; t < kNumTypes && !known; ++t) {
+    event.type = static_cast<Type>(t);
+    known = type->AsString() == TypeName(event.type);
+  }
+  if (!known) {
+    return Status::InvalidArgument("unknown event type: " + type->AsString());
+  }
+  event.name = name->AsString();
+  event.severity = doc.GetString("severity");
+  event.message = doc.GetString("message");
+  event.epoch = doc.GetDouble("epoch", -1.0);
+  event.seq = static_cast<uint64_t>(seq->AsDouble());
+  event.unix_ms = static_cast<uint64_t>(unix_ms->AsDouble());
+  for (const auto& [key, value] : fields->AsObject()) {
+    if (!value.is_number()) {
+      return Status::InvalidArgument("event field " + key +
+                                     " is not a number");
+    }
+    event.fields.emplace_back(key, value.AsDouble());
+  }
+  return event;
+}
+
+Result<JournalFile> ReadJournalFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.is_open()) return Status::IOError("cannot open " + path);
+  JournalFile file;
+  size_t line_no = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++line_no;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    Result<Event> event = ParseJsonLine(line);
+    if (event.ok()) {
+      file.events.push_back(*std::move(event));
+    } else {
+      file.malformed_lines.push_back(line_no);
+    }
+  }
+  return file;
 }
 
 Journal& Journal::Global() {
@@ -97,13 +166,17 @@ uint64_t Journal::Emit(Event event) {
   return seq;
 }
 
-Status Journal::FlushTo(const std::string& path) {
+Status Journal::FlushTo(const std::string& path, uint64_t through_seq) {
   std::unique_lock<std::mutex> lock = metrics::BestEffortLock(mu_);
   if (!lock.owns_lock()) return Status::OK();  // crash flush, skip
-  if (pending_.empty()) return Status::OK();
+  // Pending records are in seq order, so the flushed ones are a prefix.
+  const auto end = std::find_if(
+      pending_.begin(), pending_.end(),
+      [through_seq](const Event& event) { return event.seq > through_seq; });
+  if (end == pending_.begin()) return Status::OK();
   std::string text;
-  for (const Event& event : pending_) {
-    text += ToJsonLine(event);
+  for (auto it = pending_.begin(); it != end; ++it) {
+    text += ToJsonLine(*it);
     text += '\n';
   }
   // Plain O_APPEND write (not the atomic-rename contract): the file is
@@ -121,8 +194,22 @@ Status Journal::FlushTo(const std::string& path) {
   if (wrote != text.size()) {
     return Status::IOError("short write to " + path);
   }
-  pending_.clear();
+  pending_.erase(pending_.begin(), end);
   return Status::OK();
+}
+
+void Journal::VisitPending(
+    Type type, const std::function<void(const Event&)>& visit) const {
+  std::unique_lock<std::mutex> lock = metrics::BestEffortLock(mu_);
+  if (!lock.owns_lock()) return;
+  for (const Event& event : pending_) {
+    if (event.type == type) visit(event);
+  }
+}
+
+uint64_t Journal::last_seq() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return next_seq_ - 1;
 }
 
 size_t Journal::pending() const {

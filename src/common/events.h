@@ -3,11 +3,15 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 
 namespace fairgen {
@@ -19,6 +23,11 @@ namespace events {
 /// `Journal::Global().Emit(...)` from anywhere; the telemetry Publisher
 /// flushes pending records to `<run_dir>/events.jsonl` on every snapshot
 /// tick and — via the crash flush — when the process dies on a signal.
+///
+/// The journal is the one home of these discrete records: no metrics
+/// series, gauge or counter repeats them. In-process readers (the
+/// watchdog) visit pending records; post-hoc readers (`fairgen_report`,
+/// `fairgen_doctor`) read events.jsonl back through `ReadJournalFile`.
 ///
 /// Like the rest of the observability layer, the journal is
 /// observation-only: it never draws from an `Rng` and never synchronizes
@@ -55,6 +64,10 @@ struct Event {
   std::vector<std::pair<std::string, double>> fields;
   uint64_t seq = 0;
   uint64_t unix_ms = 0;
+
+  /// The numeric field `key`, or nullptr when the record does not carry
+  /// it (R+ is absent from probes of a run without a protected set).
+  const double* Field(std::string_view key) const;
 };
 
 /// One JSONL line (no trailing newline): `seq`, `unix_ms`, `type` and
@@ -62,6 +75,24 @@ struct Event {
 /// tests/golden/events_schema.txt); `severity`/`message` appear when
 /// non-empty, `epoch` when >= 0, `fields` always (possibly `{}`).
 std::string ToJsonLine(const Event& event);
+
+/// Parses one line written by `ToJsonLine` back into an `Event`.
+/// `InvalidArgument` when the line is not a JSON object, lacks a numeric
+/// `seq`/`unix_ms`, a string `type`/`name` or a `fields` object, names an
+/// unknown type, or carries a non-numeric field. `fields` come back in key
+/// order.
+Result<Event> ParseJsonLine(std::string_view line);
+
+/// \brief An events.jsonl file read back: the records that parse, in file
+/// order, and the 1-based numbers of the non-blank lines that do not.
+struct JournalFile {
+  std::vector<Event> events;
+  std::vector<size_t> malformed_lines;
+};
+
+/// Reads `path` line by line through `ParseJsonLine` (blank lines and a
+/// trailing '\r' are ignored). `IOError` when the file cannot be opened.
+Result<JournalFile> ReadJournalFile(const std::string& path);
 
 /// \brief Process-wide buffered journal.
 ///
@@ -96,11 +127,25 @@ class Journal {
   /// publishes telemetry does not hold every record it ever emitted.
   void SetBuffering(bool on);
 
-  /// Appends every pending record to `path` (fsync'd) and clears the
-  /// buffer. A contended lock in crash-flush read mode skips silently
-  /// (the records stay pending); I/O failures return the error with the
-  /// records kept pending.
-  Status FlushTo(const std::string& path);
+  /// Appends the pending records with `seq <= through_seq` to `path`
+  /// (fsync'd) and drops them from the buffer; later records stay pending
+  /// for the next flush. A contended lock in crash-flush read mode skips
+  /// silently (the records stay pending); I/O failures return the error
+  /// with the records kept pending.
+  Status FlushTo(const std::string& path,
+                 uint64_t through_seq = std::numeric_limits<uint64_t>::max());
+
+  /// Calls `visit` on every pending record of `type`, in sequence order,
+  /// under the journal lock (`visit` must not call back into the
+  /// journal). Visits nothing when the lock is contended in crash-flush
+  /// read mode.
+  void VisitPending(Type type,
+                    const std::function<void(const Event&)>& visit) const;
+
+  /// Sequence number of the newest record accepted so far (0 before the
+  /// first). A flush through it writes exactly the records already
+  /// accepted, whatever is emitted meanwhile.
+  uint64_t last_seq() const;
 
   size_t pending() const;
   /// Total records accepted by `Emit` since start/reset.

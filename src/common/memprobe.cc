@@ -8,7 +8,6 @@
 
 #include "common/events.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 
 namespace fairgen {
 namespace memprobe {
@@ -77,31 +76,7 @@ void AlignedDelete(void* p, size_t alignment) noexcept {
 
 void Sample(std::string_view stage) {
   const uint64_t rss_current = CurrentRssBytes();
-  const uint64_t rss_peak = PeakRssBytes();
-  const ByteCounter& nn = NnBytes();
-  const uint64_t nn_live = nn.live();
-
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
-  registry.GetGauge("mem.rss_current_bytes")
-      .Set(static_cast<double>(rss_current));
-  registry.GetGauge("mem.rss_peak_bytes").Set(static_cast<double>(rss_peak));
-  registry.GetGauge("nn.bytes_live").Set(static_cast<double>(nn_live));
-  registry.GetGauge("nn.bytes_peak").Set(static_cast<double>(nn.peak()));
-  const ByteCounter& transition = TransitionBytes();
-  registry.GetGauge("transition.bytes_live")
-      .Set(static_cast<double>(transition.live()));
-  registry.GetGauge("transition.bytes_peak")
-      .Set(static_cast<double>(transition.peak()));
-
-  // The step is a process-wide sample index, so repeated samples line up
-  // across the two series; the Perfetto placement uses the per-point
-  // timestamp, not the step.
-  static std::atomic<uint64_t> sample_index{0};
-  const double step = static_cast<double>(
-      sample_index.fetch_add(1, std::memory_order_relaxed));
-  registry.GetSeries("mem.rss_bytes")
-      .Append(step, static_cast<double>(rss_current));
-  registry.GetSeries("nn.bytes").Append(step, static_cast<double>(nn_live));
+  const uint64_t nn_live = NnBytes().live();
 
   // The probe call sites mark the pipeline stage boundaries
   // (load/fit/generate/exit), which makes them the natural source of
@@ -115,7 +90,8 @@ void Sample(std::string_view stage) {
   events::Journal::Global().Emit(std::move(event));
 
   FAIRGEN_LOG(DEBUG) << "memprobe[" << std::string(stage)
-                     << "]: rss=" << rss_current << "B peak=" << rss_peak
+                     << "]: rss=" << rss_current
+                     << "B peak=" << PeakRssBytes()
                      << "B nn_live=" << nn_live << "B";
 }
 

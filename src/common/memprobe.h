@@ -67,12 +67,14 @@ class ByteCounter {
 
 /// Process-wide tally of nn float-buffer bytes (tensor values and autograd
 /// gradients — everything allocated through `nn::FloatBuffer`). Exported
-/// by `Sample` as the `nn.bytes_live` / `nn.bytes_peak` gauges.
+/// live by the telemetry publisher (`fairgen_nn_bytes_live` /
+/// `fairgen_nn_bytes_peak`, snapshot `memory.nn_bytes_*`).
 ByteCounter& NnBytes();
 
 /// Process-wide tally of precomputed walk-transition structures (the
-/// Vose alias tables in `graph/transition.h`). Exported by `Sample` as
-/// the `transition.bytes_live` / `transition.bytes_peak` gauges.
+/// Vose alias tables in `graph/transition.h`). Exported live by the
+/// telemetry publisher (`fairgen_transition_bytes_live` /
+/// `fairgen_transition_bytes_peak`, snapshot `memory.transition_bytes_*`).
 ByteCounter& TransitionBytes();
 
 namespace internal {
@@ -148,14 +150,13 @@ bool operator==(const TrackingAllocator<T, CounterFn, Alignment>&,
   return true;
 }
 
-/// \brief Records one memory sample into the metrics registry: gauges
-/// `mem.rss_current_bytes`, `mem.rss_peak_bytes`, `nn.bytes_live`,
-/// `nn.bytes_peak`, plus the timestamped series `mem.rss_bytes` and
-/// `nn.bytes` (step = process-wide sample index) that render as Perfetto
-/// counter tracks. `stage` labels the sample in the debug log only.
+/// \brief Marks a stage boundary: emits one `stage` journal event named
+/// `stage` with fields `rss_bytes` (current RSS) and `nn_bytes_live`, and
+/// logs the reading at debug level. The journal is the only home of these
+/// readings; live memory is the publisher's direct read instead.
 ///
 /// Call at stage boundaries (after load, after fit, after generate, at
-/// exit) — it reads `/proc` and takes the registry lock, so it does not
+/// exit) — it reads `/proc` and takes the journal lock, so it does not
 /// belong on per-element hot paths.
 void Sample(std::string_view stage);
 

@@ -1,11 +1,13 @@
 #include "common/telemetry.h"
 
+#include <dirent.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <fcntl.h>
 #include <sys/utsname.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -85,13 +87,30 @@ uint64_t UnixMillis() {
           .count());
 }
 
+std::vector<std::string> RunDirs(const std::string& path) {
+  if (PathExists(path + "/run.json")) return {path};
+  std::vector<std::string> runs;
+  DIR* dir = ::opendir(path.c_str());
+  if (dir == nullptr) return runs;
+  while (struct dirent* entry = ::readdir(dir)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != ".." &&
+        PathExists(path + "/" + name + "/run.json")) {
+      runs.push_back(path + "/" + name);
+    }
+  }
+  ::closedir(dir);
+  std::sort(runs.begin(), runs.end());
+  return runs;
+}
+
 std::string PrometheusText() {
   std::string out;
   out.reserve(4096);
 
-  // Process memory, read directly from the probes: the publisher must not
-  // mutate the registry (observation-only), so these do not go through
-  // memprobe::Sample.
+  // Process memory, read directly from the probes at the moment of the
+  // call. This is the one home of live memory: the registry holds no
+  // memory gauge, and memprobe::Sample only journals stage readings.
   struct {
     const char* name;
     double value;
@@ -104,6 +123,10 @@ std::string PrometheusText() {
        static_cast<double>(memprobe::NnBytes().live())},
       {"fairgen_nn_bytes_peak",
        static_cast<double>(memprobe::NnBytes().peak())},
+      {"fairgen_transition_bytes_live",
+       static_cast<double>(memprobe::TransitionBytes().live())},
+      {"fairgen_transition_bytes_peak",
+       static_cast<double>(memprobe::TransitionBytes().peak())},
   };
   for (const auto& p : process) {
     out += std::string("# TYPE ") + p.name + " gauge\n";
@@ -114,34 +137,7 @@ std::string PrometheusText() {
       metrics::MetricsRegistry::Global();
   const std::vector<metrics::MetricSnapshot> snaps = registry.Snapshot();
 
-  // Watchdog alert counters as one labeled family,
-  // `fairgen_alerts_total{rule="..."}`, assembled from the
-  // `alerts.rule.<name>` registry counters (the registry itself has no
-  // label support). Absent entirely until the first alert fires, so an
-  // alert-free run's exposition is unchanged.
-  {
-    std::string family_out;
-    for (const metrics::MetricSnapshot& snap : snaps) {
-      if (!StrStartsWith(snap.name, "alerts.rule.")) continue;
-      // A zero-valued rule counter only exists after a registry reset
-      // (tests); a real alert-free run never materializes it, so keep
-      // the family's absent-until-first-alert contract either way.
-      if (snap.fields[0].second == 0.0) continue;
-      family_out += "fairgen_alerts_total{rule=\"" +
-                    JsonEscape(snap.name.substr(12)) + "\"} " +
-                    FormatValue(snap.fields[0].second) + "\n";
-    }
-    if (!family_out.empty()) {
-      out += "# TYPE fairgen_alerts_total counter\n";
-      out += family_out;
-    }
-  }
-
   for (const metrics::MetricSnapshot& snap : snaps) {
-    // The alert counters were already emitted as the labeled family
-    // above; re-emitting them under their dotted names would double
-    // count in a sum() over the exposition.
-    if (StrStartsWith(snap.name, "alerts.")) continue;
     const std::string name = PrometheusName(snap.name);
     if (snap.type == "counter" || snap.type == "gauge") {
       out += "# TYPE " + name + " " + snap.type + "\n";
@@ -208,7 +204,10 @@ std::string SnapshotJson(const std::string& run_id, uint64_t sequence,
          ", \"peak_rss_bytes\": " + std::to_string(memprobe::PeakRssBytes()) +
          ", \"nn_bytes_live\": " + std::to_string(memprobe::NnBytes().live()) +
          ", \"nn_bytes_peak\": " + std::to_string(memprobe::NnBytes().peak()) +
-         "},\n";
+         ", \"transition_bytes_live\": " +
+         std::to_string(memprobe::TransitionBytes().live()) +
+         ", \"transition_bytes_peak\": " +
+         std::to_string(memprobe::TransitionBytes().peak()) + "},\n";
 
   const trace::Tracer& tracer = trace::Tracer::Global();
   out += "  \"spans\": {";
@@ -349,6 +348,12 @@ Status Publisher::WriteManifest(bool finalized, int exit_status,
 }
 
 Status Publisher::WriteSnapshotFiles() {
+  // The watchdog reads probe records while they are pending, so this tick
+  // flushes only the records accepted before it evaluated: a record
+  // emitted meanwhile, this tick's alerts included, waits for the next
+  // flush instead of reaching the file unseen.
+  events::Journal& journal = events::Journal::Global();
+  const uint64_t evaluated_through = journal.last_seq();
   // Watchdog evaluation happens on the publisher tick, before mu_ is
   // taken: a fatal rule raises SIGTERM on this thread, whose handler only
   // wakes the flush thread; that CrashFlush then waits for mu_, so this
@@ -377,9 +382,9 @@ Status Publisher::WriteSnapshotFiles() {
   FAIRGEN_RETURN_NOT_OK(
       WriteFileAtomic(run_dir_ + "/metrics.prom", PrometheusText()));
   // Drain buffered journal records into the append-only event log. Every
-  // tick flushes, so events.jsonl trails the live run by at most one
-  // interval.
-  return events::Journal::Global().FlushTo(run_dir_ + "/events.jsonl");
+  // tick flushes, so events.jsonl trails the live run by at most two
+  // intervals.
+  return journal.FlushTo(run_dir_ + "/events.jsonl", evaluated_through);
 }
 
 Status Publisher::SnapshotNow() {
@@ -423,6 +428,10 @@ void Publisher::Stop(int exit_status) {
     events::Journal::Global().Emit(std::move(event));
   }
   Status s = WriteSnapshotFiles();
+  // The last tick's own alerts came after the records it flushed.
+  if (s.ok()) {
+    s = events::Journal::Global().FlushTo(run_dir_ + "/events.jsonl");
+  }
   if (s.ok()) s = WriteManifest(true, exit_status, UnixMillis());
   if (!s.ok()) {
     FAIRGEN_LOG(WARNING) << "telemetry finalize failed: " << s.ToString();

@@ -45,6 +45,10 @@ HostInfo GetHostInfo();
 /// feeds back into the model).
 uint64_t UnixMillis();
 
+/// The run directories at `path`: `path` itself when it holds a run.json,
+/// otherwise its children that do, sorted (empty when there are none).
+std::vector<std::string> RunDirs(const std::string& path);
+
 /// \brief Prometheus text exposition (format 0.0.4) of the process memory
 /// probes plus every registered metric, at the moment of the call:
 ///  - counters/gauges: one sample each, name prefixed `fairgen_` with

@@ -30,26 +30,16 @@ void DefaultFatalHandler() {
   ::raise(SIGTERM);
 }
 
-}  // namespace
-
-const char* SeverityName(Severity severity) {
-  return severity == Severity::kFatal ? "fatal" : "warn";
-}
-
-void RaiseAlert(const Alert& alert,
-                std::vector<std::pair<std::string, double>> fields) {
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
-  registry.GetCounter("alerts.total").Increment();
-  registry.GetCounter("alerts.rule." + alert.rule).Increment();
-
+// Emits one alert: an `alert` journal event, its only record, and a log
+// line. The fatal action is the rule engine's job.
+void RaiseAlert(const Alert& alert) {
   events::Event event;
   event.type = events::Type::kAlert;
   event.name = alert.rule;
-  event.severity = SeverityName(alert.severity);
+  event.severity = alert.severity == Severity::kFatal ? "fatal" : "warn";
   event.message = alert.message;
   event.epoch = alert.epoch;
-  event.fields = std::move(fields);
-  event.fields.emplace_back("value", alert.value);
+  event.fields = {{"value", alert.value}};
   events::Journal::Global().Emit(std::move(event));
 
   if (alert.severity == Severity::kFatal) {
@@ -60,6 +50,8 @@ void RaiseAlert(const Alert& alert,
                          << "] warn: " << alert.message;
   }
 }
+
+}  // namespace
 
 Watchdog& Watchdog::Global() {
   static Watchdog* watchdog = new Watchdog();
@@ -75,19 +67,8 @@ void Watchdog::Configure(const Options& options) {
   stall_ = RuleState{};
   rss_ = RuleState{};
   dropped_ = RuleState{};
-  drift_ = RuleState{};
+  drift_ = DriftState{};
   fatal_invoked_ = false;
-  alerts_fired_ = 0;
-}
-
-Options Watchdog::options() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_;
-}
-
-bool Watchdog::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return options_.enabled;
 }
 
 void Watchdog::SetFatalHandler(void (*handler)()) {
@@ -95,22 +76,13 @@ void Watchdog::SetFatalHandler(void (*handler)()) {
   fatal_handler_ = handler;
 }
 
-uint64_t Watchdog::alerts_fired() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return alerts_fired_;
-}
-
 void Watchdog::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  nonfinite_ = RuleState{};
-  exploding_ = RuleState{};
-  plateau_ = RuleState{};
-  stall_ = RuleState{};
-  rss_ = RuleState{};
-  dropped_ = RuleState{};
-  drift_ = RuleState{};
-  fatal_invoked_ = false;
-  alerts_fired_ = 0;
+  Options options;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    options = options_;
+  }
+  Configure(options);
 }
 
 std::vector<Alert> Watchdog::EvaluateTick() {
@@ -262,14 +234,22 @@ std::vector<Alert> Watchdog::EvaluateTick() {
     }
 
     // fairness_drift: the live disparity gap (protected minus overall
-    // walk NLL, appended by the trainer's periodic probe) grew past
-    // `drift_factor` x the first recorded gap.
+    // walk NLL, journaled by the trainer's periodic probe) grew past
+    // `drift_factor` x the first recorded gap. The publisher evaluates
+    // before it flushes what was pending, so every probe passes here.
     {
-      const auto points =
-          registry.GetSeries("probe.disparity_gap").points();
-      if (points.size() >= 2) {
-        const double first = points.front().second;
-        const double last = points.back().second;
+      events::Journal::Global().VisitPending(
+          events::Type::kProbe, [this](const events::Event& probe) {
+            const double* gap = probe.Field("disparity_gap");
+            if (gap == nullptr) return;
+            if (!drift_.seen) drift_.first_gap = *gap;
+            drift_.seen = true;
+            drift_.last_gap = *gap;
+          });
+      // A single probe is its own reference, so it never drifts.
+      if (drift_.seen) {
+        const double first = drift_.first_gap;
+        const double last = drift_.last_gap;
         const double growth_limit = std::max(
             options_.drift_min_gap,
             (options_.drift_factor - 1.0) * std::fabs(first));
@@ -288,7 +268,6 @@ std::vector<Alert> Watchdog::EvaluateTick() {
       }
     }
 
-    alerts_fired_ += fired.size();
     for (const Alert& alert : fired) {
       if (alert.severity == Severity::kFatal && !fatal_invoked_) {
         fatal_invoked_ = true;
@@ -298,8 +277,8 @@ std::vector<Alert> Watchdog::EvaluateTick() {
     }
   }
 
-  // Raise outside the engine lock: RaiseAlert takes the journal/registry
-  // locks, and the fatal action re-enters telemetry via the signal path.
+  // Raise outside the engine lock: RaiseAlert takes the journal lock, and
+  // the fatal action re-enters telemetry via the signal path.
   for (const Alert& alert : fired) RaiseAlert(alert);
   if (fatal_action != nullptr) fatal_action();
   return fired;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace fairgen {
@@ -12,7 +11,8 @@ namespace watchdog {
 
 /// \brief Run-health watchdog: a declarative rule engine evaluated on the
 /// telemetry Publisher tick against the metrics registry, the memory
-/// probes, the span tracer and the event journal. Rules never touch model
+/// probes, the span tracer and the event journal (probe records are read
+/// from the journal, their only home). Rules never touch model
 /// state — they read the same observation-only surfaces every other
 /// exporter reads — so an armed watchdog whose fatal rules never fire
 /// leaves outputs bitwise identical at any thread count.
@@ -33,19 +33,17 @@ namespace watchdog {
 ///                           `rss_debounce_ticks` consecutive ticks
 ///   spans_dropped    warn   tracer ring or profiler SPSC rings dropped
 ///                           records
-///   fairness_drift   warn   last `probe.disparity_gap` point grew past
-///                           `drift_factor` x the first recorded gap
+///   fairness_drift   warn   the `disparity_gap` of the last journaled
+///                           `probe` record grew past `drift_factor` x
+///                           the first probe's gap
 ///
-/// Severity drives the action: `warn` emits an alert event and increments
-/// `fairgen_alerts_total{rule=...}`; `fatal` does the same, then invokes
-/// the fatal handler — by default `raise(SIGTERM)`, which enters the
-/// PR 5 signal-flush path (emergency FGCKPT2 checkpoint, crash-flushed
-/// telemetry + event journal, exit status 128+SIGTERM).
+/// Severity drives the action: `warn` emits an `alert` journal event;
+/// `fatal` does the same, then invokes the fatal handler — by default
+/// `raise(SIGTERM)`, which enters the signal-flush path (emergency FGCKPT2
+/// checkpoint, crash-flushed telemetry + event journal, exit status
+/// 128+SIGTERM).
 
 enum class Severity { kWarn, kFatal };
-
-/// "warn" | "fatal".
-const char* SeverityName(Severity severity);
 
 /// \brief Watchdog configuration (CLI: `--watchdog`, `--rss-budget-mb`).
 struct Options {
@@ -87,13 +85,6 @@ struct Alert {
   double value = 0.0;   ///< rule-specific observed value
 };
 
-/// Emits one alert through the shared pathway: an `alert` event in the
-/// journal, plus the `alerts.total` and `alerts.rule.<rule>` counters
-/// that back the `fairgen_alerts_total{rule=...}` Prometheus family.
-/// Does NOT run the fatal action — that is the rule engine's job.
-void RaiseAlert(const Alert& alert,
-                std::vector<std::pair<std::string, double>> fields = {});
-
 /// \brief The process-wide rule engine.
 class Watchdog {
  public:
@@ -103,21 +94,17 @@ class Watchdog {
 
   /// Replaces the configuration and resets all rule state.
   void Configure(const Options& options);
-  Options options() const;
-  bool enabled() const;
 
   /// Replaces the fatal action (default: `raise(SIGTERM)`). Tests inject
   /// a flag-setter; pass nullptr to restore the default.
   void SetFatalHandler(void (*handler)());
 
-  /// Evaluates every rule once and returns the alerts fired this tick
-  /// (already raised through `RaiseAlert`). A fatal alert additionally
-  /// invokes the fatal handler — at most once per process — after all
-  /// internal locks are released. No-op (empty) while disabled.
+  /// Evaluates every rule once and returns the alerts fired this tick,
+  /// each already emitted as an `alert` journal event (its only record)
+  /// and logged. A fatal alert additionally invokes the fatal handler —
+  /// at most once per process — after all internal locks are released.
+  /// No-op (empty) while disabled.
   std::vector<Alert> EvaluateTick();
-
-  /// Total alerts this engine fired since configure/reset.
-  uint64_t alerts_fired() const;
 
   /// Re-arms every rule and clears the fired-fatal latch (tests only).
   void ResetForTest();
@@ -134,6 +121,16 @@ class Watchdog {
     double marker = 0.0;
   };
 
+  // `fairness_drift` reads probe records from the journal: the first
+  // gap it saw is its reference, the last one its reading. A record still
+  // pending at the next tick is read again, which changes neither.
+  struct DriftState {
+    bool fired = false;
+    bool seen = false;
+    double first_gap = 0.0;
+    double last_gap = 0.0;
+  };
+
   mutable std::mutex mu_;
   Options options_;          // guarded by mu_
   RuleState nonfinite_;      // guarded by mu_
@@ -142,9 +139,8 @@ class Watchdog {
   RuleState stall_;          // guarded by mu_
   RuleState rss_;            // guarded by mu_
   RuleState dropped_;        // guarded by mu_
-  RuleState drift_;          // guarded by mu_
+  DriftState drift_;         // guarded by mu_
   bool fatal_invoked_ = false;  // guarded by mu_
-  uint64_t alerts_fired_ = 0;   // guarded by mu_
   void (*fatal_handler_)() = nullptr;  // guarded by mu_
 };
 

@@ -102,8 +102,9 @@ struct FairGenConfig {
   /// Run the in-training fairness probe every N self-paced cycles
   /// (0 = off; wired to `--probe-every`). The probe samples held-out
   /// walks and a small generation pass from a *probe-local* RNG stream,
-  /// publishes `probe.*` metric series and a `probe` journal event, and
-  /// never touches the training `Rng` — like `num_threads` and
+  /// records them as one `probe` journal event per probe (the only
+  /// record; it persists in a `--telemetry-dir` run dir's events.jsonl),
+  /// and never touches the training `Rng` — like `num_threads` and
   /// `checkpoint`, it is excluded from the trajectory fingerprint because
   /// outputs are bit-identical with the probe on or off.
   uint32_t probe_every = 0;

@@ -473,7 +473,6 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
     lambda_series.Append(step, scheduler.lambda());
     parity_series.Append(step, losses.j_f);
     total_series.Append(step, losses.total());
-    cycle_counter.Increment();
 
     // Cycle boundary: capture the resumable state into the emergency
     // buffer every cycle, and persist it on the configured cadence plus
@@ -488,6 +487,10 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
         FAIRGEN_RETURN_NOT_OK(WritePendingCheckpoint());
       }
     }
+    // Counted only once the emergency buffer holds this cycle: the
+    // watchdog arms its fatal rules on this count, and a fatal abort
+    // before the buffer is primed would leave no checkpoint.
+    cycle_counter.Increment();
 
     // Periodic in-training fairness probe (--probe-every). Observation
     // only: the probe draws from its own cycle-keyed RNG stream and never
@@ -626,21 +629,12 @@ void FairGenTrainer::RunFairnessProbe(uint32_t cycle) {
                          << probe.release.status().ToString();
   }
 
-  const double step = static_cast<double>(cycle);
-  metrics::MetricsRegistry& registry = metrics::MetricsRegistry::Global();
-  registry.GetSeries("probe.overall_nll").Append(step, probe.overall_nll);
-  registry.GetSeries("probe.protected_nll").Append(step, probe.protected_nll);
-  registry.GetSeries("probe.disparity_gap").Append(step, gap);
-  registry.GetSeries("probe.discrepancy_mean").Append(step, discrepancy_mean);
-  if (!protected_set_.empty()) {
-    registry.GetSeries("probe.protected_discrepancy_mean")
-        .Append(step, protected_discrepancy_mean);
-  }
-
+  // The journal is the probe's only record (watchdog, report and doctor
+  // all read it there).
   events::Event event;
   event.type = events::Type::kProbe;
   event.name = "fairness";
-  event.epoch = step;
+  event.epoch = static_cast<double>(cycle);
   event.fields = {{"overall_nll", probe.overall_nll},
                   {"protected_nll", probe.protected_nll},
                   {"disparity_gap", gap},

@@ -205,9 +205,10 @@ class FairGenTrainer : public GraphGenerator {
 
   /// In-training fairness probe (`--probe-every`): ReadFairnessProbe's
   /// held-out-walk disparity (R(θ) vs R_{S+}(θ)) and the mean R and R+ of
-  /// its release, published as `probe.*` metric series and a `probe`
-  /// journal event (R+ only when S+ is non-empty). Probed and unprobed
-  /// runs produce bit-identical outputs.
+  /// its release, recorded as one `probe` journal event with fields
+  /// `overall_nll`, `protected_nll`, `disparity_gap`, `discrepancy_mean`
+  /// (R) and `protected_discrepancy_mean` (R+, only when S+ is
+  /// non-empty). Probed and unprobed runs produce bit-identical outputs.
   void RunFairnessProbe(uint32_t cycle);
 
   /// T1 discriminator steps on N1-node minibatches; accumulates J_P/J_F/J_L

@@ -48,10 +48,11 @@ class TransitionOperator {
 // ---------------------------------------------------------------------------
 //
 // Both classes below are built once per graph, charge their flat arrays
-// to `memprobe::TransitionBytes()` (exported as the
-// `transition.bytes_live` / `transition.bytes_peak` gauges), and draw
-// exactly ONE rng value per sample — the same budget as `SampleDiscrete`
-// — so walk code keeps its one-draw-per-step rng discipline.
+// to `memprobe::TransitionBytes()` (exported by the telemetry publisher
+// as `fairgen_transition_bytes_live` / `fairgen_transition_bytes_peak`),
+// and draw exactly ONE rng value per sample — the same budget as
+// `SampleDiscrete` — so walk code keeps its one-draw-per-step rng
+// discipline.
 
 /// \brief One-draw start-node distribution over a graph's nodes.
 ///

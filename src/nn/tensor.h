@@ -11,8 +11,9 @@ namespace fairgen::nn {
 
 /// Float storage for tensor values and autograd gradients. The tracking
 /// allocator charges every allocation to `memprobe::NnBytes()`, so the
-/// process-wide `nn.bytes_live` / `nn.bytes_peak` gauges account the
-/// numeric working set exactly (allocation-sized, no capacity guessing).
+/// telemetry publisher's `fairgen_nn_bytes_live` / `fairgen_nn_bytes_peak`
+/// gauges account the numeric working set exactly (allocation-sized, no
+/// capacity guessing).
 /// Storage is 64-byte aligned (one cache line, one AVX-512 lane width)
 /// for the dispatched SIMD kernels in nn/kernels/.
 using FloatBuffer =

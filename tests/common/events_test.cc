@@ -1,5 +1,8 @@
 #include "common/events.h"
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -87,6 +90,81 @@ TEST(EventJsonTest, FullRecordRoundTrips) {
   EXPECT_EQ(fields->GetDouble("limit", 0), 1.0);
 }
 
+TEST(EventJsonTest, ParseJsonLineReadsBackWhatToJsonLineWrote) {
+  Event event;
+  event.type = Type::kProbe;
+  event.name = "fairness";
+  event.message = "tab\tand \"quote\"";
+  event.epoch = 3.0;
+  event.fields = {{"protected_discrepancy_mean", 0.1 + 0.2},
+                  {"disparity_gap", -1e-300}};
+  event.seq = 12;
+  event.unix_ms = 1792410920669;
+  auto parsed = ParseJsonLine(ToJsonLine(event));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->type, Type::kProbe);
+  EXPECT_EQ(parsed->name, "fairness");
+  EXPECT_EQ(parsed->severity, "");
+  EXPECT_EQ(parsed->message, event.message);
+  EXPECT_EQ(parsed->epoch, 3.0);
+  EXPECT_EQ(parsed->seq, 12u);
+  EXPECT_EQ(parsed->unix_ms, 1792410920669u);
+  // Fields come back in key order, each value bit-exact.
+  ASSERT_EQ(parsed->fields.size(), 2u);
+  EXPECT_EQ(parsed->fields[0].first, "disparity_gap");
+  ASSERT_NE(parsed->Field("protected_discrepancy_mean"), nullptr);
+  EXPECT_EQ(*parsed->Field("protected_discrepancy_mean"), 0.1 + 0.2);
+  EXPECT_EQ(*parsed->Field("disparity_gap"), -1e-300);
+  EXPECT_EQ(parsed->Field("discrepancy_mean"), nullptr);
+
+  // An absent epoch reads back as "unknown".
+  event.epoch = -1.0;
+  EXPECT_EQ(ParseJsonLine(ToJsonLine(event))->epoch, -1.0);
+}
+
+TEST(EventJsonTest, ParseJsonLineRejectsMalformedRecords) {
+  for (const char* line : {
+           "not json",
+           "[1, 2]",
+           "{\"type\": \"stage\", \"name\": \"fit\"}",  // no seq
+           "{\"seq\": 1, \"name\": \"fit\"}",             // no type
+           "{\"seq\": 1, \"type\": \"stage\"}",           // no name
+           "{\"seq\": 1, \"type\": \"bogus\", \"name\": \"x\"}",
+           "{\"seq\": 1, \"type\": \"stage\", \"name\": \"x\", "
+           "\"fields\": {}}",  // no unix_ms
+           "{\"seq\": 1, \"unix_ms\": 1, \"type\": \"stage\", "
+           "\"name\": \"x\"}",  // no fields
+           "{\"seq\": 1, \"unix_ms\": 1, \"type\": \"stage\", "
+           "\"name\": \"x\", \"fields\": []}",  // fields not an object
+           "{\"seq\": 1, \"unix_ms\": 1, \"type\": \"stage\", "
+           "\"name\": \"x\", \"fields\": {\"rss_bytes\": \"big\"}}",
+       }) {
+    EXPECT_FALSE(ParseJsonLine(line).ok()) << line;
+  }
+}
+
+TEST(JournalFileTest, ReadsRecordsAndCountsMalformedLines) {
+  const std::string path = testing::TempDir() + "/fairgen_events_file_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  {
+    std::ofstream out(path);
+    out << "{\"seq\": 1, \"unix_ms\": 1, \"type\": \"stage\", "
+           "\"name\": \"load\", \"fields\": {}}\r\n"
+        << "\n"
+        << "{\"seq\": 2, \"torn\n"
+        << "{\"seq\": 3, \"unix_ms\": 3, \"type\": \"config\", "
+           "\"name\": \"run_end\", \"fields\": {}}\n";
+  }
+  auto file = ReadJournalFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file->events.size(), 2u);
+  EXPECT_EQ(file->events[0].name, "load");
+  EXPECT_EQ(file->events[1].seq, 3u);
+  EXPECT_EQ(file->malformed_lines, (std::vector<size_t>{3}));
+  EXPECT_FALSE(ReadJournalFile(path).ok());  // gone: IOError
+}
+
 TEST_F(JournalTest, EmitAssignsIncreasingSeqAndCountsTypes) {
   Journal& journal = Journal::Global();
   Event a;
@@ -137,6 +215,51 @@ TEST_F(JournalTest, FlushAppendsOnceAndClearsPending) {
   EXPECT_EQ(second->GetString("name"), "run_end");
   EXPECT_GT(second->GetDouble("seq", 0), first->GetDouble("seq", 0));
   std::remove(path.c_str());
+}
+
+TEST_F(JournalTest, FlushThroughSeqKeepsLaterRecordsPending) {
+  Journal& journal = Journal::Global();
+  const std::string path = TempPath("through");
+  EXPECT_EQ(journal.last_seq(), 0u);
+  Event event;
+  event.type = Type::kStage;
+  event.name = "load";
+  journal.Emit(event);
+  const uint64_t through = journal.last_seq();
+  event.name = "fit";
+  journal.Emit(event);
+  EXPECT_EQ(journal.last_seq(), through + 1);
+
+  ASSERT_TRUE(journal.FlushTo(path, through).ok());
+  EXPECT_EQ(journal.pending(), 1u);
+  ASSERT_TRUE(journal.FlushTo(path).ok());
+  EXPECT_EQ(journal.pending(), 0u);
+  auto file = ReadJournalFile(path);
+  ASSERT_TRUE(file.ok());
+  ASSERT_EQ(file->events.size(), 2u);
+  EXPECT_EQ(file->events[0].name, "load");
+  EXPECT_EQ(file->events[1].name, "fit");
+  std::remove(path.c_str());
+}
+
+TEST_F(JournalTest, VisitPendingSeesOnlyOneType) {
+  Journal& journal = Journal::Global();
+  Event probe;
+  probe.type = Type::kProbe;
+  probe.name = "fairness";
+  Event stage;
+  stage.type = Type::kStage;
+  stage.name = "fit";
+  const uint64_t first = journal.Emit(probe);
+  journal.Emit(stage);
+  const uint64_t second = journal.Emit(probe);
+  std::vector<uint64_t> seen;
+  journal.VisitPending(Type::kProbe, [&](const Event& event) {
+    EXPECT_EQ(event.type, Type::kProbe);
+    seen.push_back(event.seq);
+  });
+  EXPECT_EQ(seen, (std::vector<uint64_t>{first, second}));
+  EXPECT_EQ(journal.pending(), 3u);  // visiting keeps the records
 }
 
 TEST_F(JournalTest, FlushFailureKeepsRecordsPending) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/events.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 
@@ -82,24 +83,27 @@ TEST(TrackingAllocatorTest, ChargesNnBytesExactly) {
       << "deallocation must return the tally to its baseline";
 }
 
-TEST(SampleTest, RegistersGaugesAndSeries) {
-  metrics::SetEnabled(true);
+// A stage sample's one record is its journal event: no registry gauge or
+// series repeats it (live memory is the telemetry publisher's own read).
+TEST(SampleTest, EmitsOneStageEvent) {
+  events::Journal& journal = events::Journal::Global();
+  journal.ResetForTest();
+  const std::vector<metrics::MetricSnapshot> before =
+      metrics::MetricsRegistry::Global().Snapshot();
   Sample("test.memprobe");
-  metrics::MetricsRegistry& reg = metrics::MetricsRegistry::Global();
-  EXPECT_GT(reg.GetGauge("mem.rss_current_bytes").value(), 0.0);
-  EXPECT_GT(reg.GetGauge("mem.rss_peak_bytes").value(), 0.0);
-  EXPECT_GE(reg.GetGauge("mem.rss_peak_bytes").value(),
-            reg.GetGauge("mem.rss_current_bytes").value());
-  // nn gauges exist (zero is fine — this test may run before any tensor
-  // allocation).
-  reg.GetGauge("nn.bytes_live");
-  reg.GetGauge("nn.bytes_peak");
-
-  size_t points_before = reg.GetSeries("mem.rss_bytes").size();
-  Sample("test.memprobe.again");
-  EXPECT_EQ(reg.GetSeries("mem.rss_bytes").size(), points_before + 1)
-      << "each Sample appends one rss series point";
-  EXPECT_GE(reg.GetSeries("nn.bytes").size(), 1u);
+  std::vector<events::Event> stages;
+  journal.VisitPending(events::Type::kStage,
+                       [&](const events::Event& e) { stages.push_back(e); });
+  journal.ResetForTest();
+  ASSERT_EQ(stages.size(), 1u);
+  EXPECT_EQ(stages[0].name, "test.memprobe");
+  ASSERT_EQ(stages[0].fields.size(), 2u);
+  EXPECT_EQ(stages[0].fields[0].first, "rss_bytes");
+  EXPECT_GT(stages[0].fields[0].second, 0.0);
+  // Zero is fine: this test may run before any tensor allocation.
+  EXPECT_EQ(stages[0].fields[1].first, "nn_bytes_live");
+  EXPECT_EQ(metrics::MetricsRegistry::Global().Snapshot().size(),
+            before.size());
 }
 
 }  // namespace

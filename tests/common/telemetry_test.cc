@@ -18,6 +18,7 @@
 #include "common/fileio.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "common/watchdog.h"
 
 namespace fairgen::telemetry {
 namespace {
@@ -398,6 +399,47 @@ TEST_F(PublisherTest, SnapshotTicksAppendEventsExactlyOnce) {
   ASSERT_TRUE(publisher.SnapshotNow().ok());
   EXPECT_EQ(count_lines(), base + 2);
   publisher.Stop(0);
+  events::Journal::Global().ResetForTest();
+}
+
+// A tick flushes only the records accepted before its watchdog evaluated
+// them, so no record reaches events.jsonl unseen by the watchdog. The
+// tick's own alert is therefore written by the next flush, and Stop
+// writes whatever its last tick left pending.
+TEST_F(PublisherTest, TickFlushesOnlyRecordsItsWatchdogSaw) {
+  events::Journal::Global().ResetForTest();
+  metrics::MetricsRegistry::Global().ResetValues();
+  watchdog::Options wd;
+  wd.enabled = true;
+  watchdog::Watchdog::Global().Configure(wd);
+  PublisherOptions options;
+  options.dir = MakeParentDir("tick_watchdog");
+  options.interval_ms = 0;
+  Publisher publisher(options);
+  ASSERT_TRUE(publisher.Init().ok());
+  const std::string path = publisher.run_dir() + "/events.jsonl";
+  auto alerts_on_disk = [&] {
+    auto file = events::ReadJournalFile(path);
+    EXPECT_TRUE(file.ok());
+    size_t n = 0;
+    for (const events::Event& event : file->events) {
+      n += event.type == events::Type::kAlert;
+    }
+    return n;
+  };
+
+  metrics::MetricsRegistry::Global()
+      .GetCounter("trainer.nonfinite_batches")
+      .Increment();
+  ASSERT_TRUE(publisher.SnapshotNow().ok());  // raises loss_non_finite
+  EXPECT_EQ(alerts_on_disk(), 0u);
+  EXPECT_EQ(events::Journal::Global().pending(), 1u);
+  publisher.Stop(0);
+  EXPECT_EQ(alerts_on_disk(), 1u);
+  EXPECT_EQ(events::Journal::Global().pending(), 0u);
+
+  watchdog::Watchdog::Global().Configure(watchdog::Options{});
+  metrics::MetricsRegistry::Global().ResetValues();
   events::Journal::Global().ResetForTest();
 }
 

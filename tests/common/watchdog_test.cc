@@ -1,5 +1,8 @@
 #include "common/watchdog.h"
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -42,6 +45,16 @@ class WatchdogTest : public ::testing::Test {
 
   std::vector<Alert> Tick() { return Watchdog::Global().EvaluateTick(); }
 
+  // Journals one fairness probe, the record the drift rule reads.
+  void EmitProbe(double cycle, double gap) {
+    events::Event probe;
+    probe.type = events::Type::kProbe;
+    probe.name = "fairness";
+    probe.epoch = cycle;
+    probe.fields = {{"overall_nll", 1.0}, {"disparity_gap", gap}};
+    events::Journal::Global().Emit(std::move(probe));
+  }
+
   metrics::MetricsRegistry& registry() {
     return metrics::MetricsRegistry::Global();
   }
@@ -51,9 +64,7 @@ TEST_F(WatchdogTest, DisabledEngineNeverFires) {
   Configure(Options{});  // enabled = false
   registry().GetCounter("trainer.nonfinite_batches").Increment();
   EXPECT_TRUE(Tick().empty());
-  EXPECT_EQ(Watchdog::Global().alerts_fired(), 0u);
-  // No alert counters materialize from a disabled engine.
-  EXPECT_EQ(registry().GetCounter("alerts.total").value(), 0u);
+  EXPECT_EQ(events::Journal::Global().TypeCount(events::Type::kAlert), 0u);
 }
 
 TEST_F(WatchdogTest, NonFiniteLossFiresPerIncrease) {
@@ -71,29 +82,24 @@ TEST_F(WatchdogTest, NonFiniteLossFiresPerIncrease) {
   EXPECT_EQ(fired[0].value, 3.0);
 }
 
-TEST_F(WatchdogTest, AlertsFeedCountersAndJournal) {
+// An alert's one record is its journal event: no registry metric and so
+// no Prometheus family repeats it.
+TEST_F(WatchdogTest, AlertsAreJournaledOnly) {
   registry().GetCounter("trainer.nonfinite_batches").Increment();
   ASSERT_EQ(Tick().size(), 1u);
-  EXPECT_EQ(registry().GetCounter("alerts.total").value(), 1u);
-  EXPECT_EQ(
-      registry().GetCounter("alerts.rule.loss_non_finite").value(), 1u);
-  EXPECT_EQ(events::Journal::Global().TypeCount(events::Type::kAlert), 1u);
-  EXPECT_EQ(Watchdog::Global().alerts_fired(), 1u);
-}
-
-TEST_F(WatchdogTest, AlertCountersExposeAsLabeledPrometheusFamily) {
-  // Absent before any alert — alert-free runs keep a label-free exposition.
-  EXPECT_EQ(telemetry::PrometheusText().find("fairgen_alerts_total"),
-            std::string::npos);
-  registry().GetCounter("trainer.nonfinite_batches").Increment();
-  ASSERT_EQ(Tick().size(), 1u);
-  const std::string text = telemetry::PrometheusText();
-  EXPECT_NE(text.find("# TYPE fairgen_alerts_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("fairgen_alerts_total{rule=\"loss_non_finite\"} 1"),
-            std::string::npos);
-  // The dotted backing counters must not leak as separate families.
-  EXPECT_EQ(text.find("fairgen_alerts_rule_"), std::string::npos);
+  std::vector<events::Event> alerts;
+  events::Journal::Global().VisitPending(
+      events::Type::kAlert,
+      [&](const events::Event& event) { alerts.push_back(event); });
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].name, "loss_non_finite");
+  EXPECT_EQ(alerts[0].severity, "warn");
+  ASSERT_NE(alerts[0].Field("value"), nullptr);
+  EXPECT_EQ(*alerts[0].Field("value"), 1.0);
+  for (const metrics::MetricSnapshot& snap : registry().Snapshot()) {
+    EXPECT_NE(snap.name.rfind("alerts", 0), 0u) << snap.name;
+  }
+  EXPECT_EQ(telemetry::PrometheusText().find("alerts"), std::string::npos);
 }
 
 TEST_F(WatchdogTest, ExplodingLossLatchesPerEpisodeAndRearms) {
@@ -204,21 +210,49 @@ TEST_F(WatchdogTest, DroppedRecordsFirePerIncrease) {
 }
 
 TEST_F(WatchdogTest, FairnessDriftComparesLastGapToFirst) {
-  auto& series = registry().GetSeries("probe.disparity_gap");
-  series.Append(0, 0.01);
-  EXPECT_TRUE(Tick().empty());  // one point: no trend yet
-  series.Append(1, 0.04);
+  EmitProbe(0, 0.01);
+  EXPECT_TRUE(Tick().empty());  // one probe: no trend yet
+  EmitProbe(1, 0.04);
   EXPECT_TRUE(Tick().empty());  // growth 0.03 below the 0.05 floor
-  series.Append(2, 0.2);
+  EmitProbe(2, 0.2);
   std::vector<Alert> fired = Tick();
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].rule, "fairness_drift");
+  EXPECT_EQ(fired[0].value, 0.2);
   EXPECT_TRUE(Tick().empty());  // latched while drifted
 
-  series.Append(3, 0.02);  // back near the first gap: re-arms
+  EmitProbe(3, 0.02);  // back near the first gap: re-arms
   EXPECT_TRUE(Tick().empty());
-  series.Append(4, 0.3);
+  EmitProbe(4, 0.3);
   EXPECT_EQ(Tick().size(), 1u);
+}
+
+// Two probes between ticks: the first gap is the reference, not the
+// second, and it stays the reference after the journal is flushed.
+TEST_F(WatchdogTest, FairnessDriftKeepsFirstGapAcrossProbesBetweenTicks) {
+  EmitProbe(0, 0.1);
+  EmitProbe(1, 0.3);
+  std::vector<Alert> fired = Tick();  // 0.3 - 0.1 > max(0.05, 1 x 0.1)
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].rule, "fairness_drift");
+  EXPECT_EQ(fired[0].value, 0.3);
+  EXPECT_NE(fired[0].message.find("from 0.1 to 0.3"), std::string::npos)
+      << fired[0].message;
+
+  const std::string path = testing::TempDir() + "/fairgen_watchdog_drift_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
+  ASSERT_TRUE(events::Journal::Global().FlushTo(path).ok());
+  std::remove(path.c_str());
+
+  EmitProbe(2, 0.15);
+  EXPECT_TRUE(Tick().empty());  // back within the limit: re-arms
+  // Drifted against the first gap 0.1; against 0.15 (limit 0.15) it
+  // would not be.
+  EmitProbe(3, 0.26);
+  fired = Tick();
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].value, 0.26);
 }
 
 TEST_F(WatchdogTest, ConfigureResetsRuleState) {

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <dirent.h>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -28,7 +27,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/events.h"
 #include "common/json.h"
+#include "common/telemetry.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
 
@@ -46,22 +47,6 @@ std::string ReadFileOrDie(const std::string& path) {
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
-}
-
-// The run directories under a telemetry parent dir, sorted.
-std::vector<std::string> RunDirs(const std::string& parent) {
-  std::vector<std::string> out;
-  DIR* dir = ::opendir(parent.c_str());
-  if (dir == nullptr) return out;
-  while (struct dirent* entry = ::readdir(dir)) {
-    std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    std::string path = parent + "/" + name;
-    if (FileExists(path + "/run.json")) out.push_back(path);
-  }
-  ::closedir(dir);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 class TelemetryE2eTest : public testing::Test {
@@ -130,7 +115,7 @@ TEST_F(TelemetryE2eTest, CliRunYieldsSchemaValidArtifactsAndReport) {
                         " > /dev/null 2>&1";
   ASSERT_EQ(std::system(command.c_str()), 0) << command;
 
-  std::vector<std::string> runs = RunDirs(telemetry_dir);
+  std::vector<std::string> runs = telemetry::RunDirs(telemetry_dir);
   ASSERT_EQ(runs.size(), 1u);
   const std::string& run = runs[0];
 
@@ -188,6 +173,105 @@ TEST_F(TelemetryE2eTest, CliRunYieldsSchemaValidArtifactsAndReport) {
   EXPECT_EQ(html.find("https://"), std::string::npos);
 }
 
+// The Prometheus text format allows one `# TYPE` line per family; the
+// validator must fail an exposition that declares one twice, even when
+// every schema line is present.
+TEST_F(TelemetryE2eTest, ValidatorRejectsDuplicateFamilyDeclaration) {
+  std::string schema = TempPath("dup_schema.txt");
+  {
+    std::ofstream out(schema);
+    out << "# TYPE fairgen_nn_bytes_live gauge\nfairgen_nn_bytes_live\n";
+  }
+  std::string once = TempPath("once.prom");
+  {
+    std::ofstream out(once);
+    out << "# TYPE fairgen_nn_bytes_live gauge\nfairgen_nn_bytes_live 5\n";
+  }
+  EXPECT_EQ(RunValidator("prometheus", once, schema), 0);
+  std::string twice = TempPath("twice.prom");
+  {
+    std::ofstream out(twice);
+    out << "# TYPE fairgen_nn_bytes_live gauge\nfairgen_nn_bytes_live 5\n"
+        << "# TYPE fairgen_other counter\nfairgen_other 1\n"
+        << "# TYPE fairgen_nn_bytes_live gauge\nfairgen_nn_bytes_live 4\n";
+  }
+  EXPECT_EQ(RunValidator("prometheus", twice, schema), 1);
+}
+
+// A probed, watched run: each probe and stage reading is recorded once,
+// as a journal event with its fields; metrics.prom declares every family
+// once; and fairgen_report draws R with R+ and the stage memory from
+// those events.
+TEST_F(TelemetryE2eTest, ProbedRunReportsFairnessFromJournal) {
+  std::string edges = TempPath("probe_edges.txt");
+  std::string labels = TempPath("probe_labels.txt");
+  std::string protected_path = TempPath("probe_protected.txt");
+  WriteInputs(edges, labels, protected_path, 60, 280);
+  std::string telemetry_dir = TempPath("probe_runs");
+  std::string command = std::string(FAIRGEN_CLI_PATH) + " generate " +
+                        edges + " --model=fairgen --labels=" + labels +
+                        " --protected=" + protected_path + " --out=" +
+                        TempPath("probe_generated.txt") +
+                        " --seed=7 --walks=60 --cycles=2 --epochs=1" +
+                        " --watchdog --probe-every=1 --telemetry-dir=" +
+                        telemetry_dir + " --telemetry-interval-ms=25" +
+                        " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  std::vector<std::string> runs = telemetry::RunDirs(telemetry_dir);
+  ASSERT_EQ(runs.size(), 1u);
+  const std::string& run = runs[0];
+
+  EXPECT_EQ(RunValidator("prometheus", run + "/metrics.prom",
+                         FAIRGEN_PROM_SCHEMA_PATH),
+            0);
+  EXPECT_EQ(RunValidator("snapshot", run + "/snapshot.json",
+                         FAIRGEN_SNAPSHOT_SCHEMA_PATH),
+            0);
+  const std::string prom = ReadFileOrDie(run + "/metrics.prom");
+  EXPECT_EQ(prom.find("fairgen_probe_"), std::string::npos);
+  EXPECT_EQ(prom.find("fairgen_mem_"), std::string::npos);
+
+  auto journal = events::ReadJournalFile(run + "/events.jsonl");
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_TRUE(journal->malformed_lines.empty());
+  std::vector<double> probe_epochs;
+  std::vector<std::string> stages;
+  for (const events::Event& event : journal->events) {
+    if (event.type == events::Type::kProbe) {
+      probe_epochs.push_back(event.epoch);
+      for (const char* field :
+           {"overall_nll", "protected_nll", "disparity_gap",
+            "discrepancy_mean", "protected_discrepancy_mean"}) {
+        EXPECT_NE(event.Field(field), nullptr) << field;
+      }
+    } else if (event.type == events::Type::kStage) {
+      stages.push_back(event.name);
+      ASSERT_NE(event.Field("rss_bytes"), nullptr) << event.name;
+      EXPECT_GT(*event.Field("rss_bytes"), 0.0);
+      EXPECT_NE(event.Field("nn_bytes_live"), nullptr) << event.name;
+    }
+  }
+  EXPECT_EQ(probe_epochs, (std::vector<double>{0, 1}));
+  EXPECT_EQ(stages, (std::vector<std::string>{"load", "fit", "generate",
+                                              "exit"}));
+
+  std::string report = TempPath("probe_report.html");
+  std::string report_command = std::string(FAIRGEN_REPORT_PATH) + " " +
+                               telemetry_dir + " --out=" + report +
+                               " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(report_command.c_str()), 0);
+  const std::string html = ReadFileOrDie(report);
+  EXPECT_NE(html.find("probe generation discrepancy per cycle (R solid, "
+                      "protected-group R+ dashed)"),
+            std::string::npos);
+  EXPECT_NE(html.find(" R+</text>"), std::string::npos);
+  EXPECT_NE(html.find("stroke-dasharray"), std::string::npos);
+  EXPECT_NE(html.find("MiB at each stage event"), std::string::npos);
+  EXPECT_NE(html.find("walk-NLL disparity gap"), std::string::npos);
+  EXPECT_EQ(html.find("events recorded"), std::string::npos)
+      << "a journal chart had no data";
+}
+
 // A child CLI killed mid-run must leave a crash record: the signal-flush
 // path finalizes run.json with exit status 128+SIGTERM and the periodic
 // publisher guarantees a snapshot.json is already on disk.
@@ -234,7 +318,7 @@ TEST_F(TelemetryE2eTest, SigtermMidRunLeavesFinalizedCrashRecord) {
   std::string run_dir;
   for (int i = 0; i < 400 && run_dir.empty(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    std::vector<std::string> runs = RunDirs(telemetry_dir);
+    std::vector<std::string> runs = telemetry::RunDirs(telemetry_dir);
     if (!runs.empty() && FileExists(runs[0] + "/snapshot.json")) {
       run_dir = runs[0];
     }

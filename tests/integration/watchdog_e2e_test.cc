@@ -2,9 +2,10 @@
 // real `fairgen` CLI with `--watchdog` and injected faults, then checks
 // the whole observability chain — the structured event journal on disk
 // (via the real `validate_telemetry` binary and the golden events
-// schema), the `fairgen_alerts_total` Prometheus family, the emergency
-// checkpoint written on a fatal rule, and the `fairgen_doctor` triage
-// verdicts (healthy / degraded / failed). The observation-only contract
+// schema), which is the alerts' only record, the emergency checkpoint
+// written on a fatal rule, and the `fairgen_doctor` triage verdicts
+// (healthy / degraded / failed) and fairness trend (R and R+ from the
+// journaled probes). The observation-only contract
 // is pinned too: watchdog + fairness probes must leave the generated
 // graph bit-identical to an uninstrumented run, at 1, 2, and 4 threads.
 //
@@ -19,7 +20,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <dirent.h>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/telemetry.h"
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
@@ -47,22 +48,6 @@ std::string ReadFileOrDie(const std::string& path) {
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
-}
-
-// The run directories under a telemetry parent dir, sorted.
-std::vector<std::string> RunDirs(const std::string& parent) {
-  std::vector<std::string> out;
-  DIR* dir = ::opendir(parent.c_str());
-  if (dir == nullptr) return out;
-  while (struct dirent* entry = ::readdir(dir)) {
-    std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    std::string path = parent + "/" + name;
-    if (FileExists(path + "/run.json")) out.push_back(path);
-  }
-  ::closedir(dir);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 // All alert records in an events.jsonl, as (name, severity) pairs.
@@ -141,6 +126,15 @@ class WatchdogE2eTest : public testing::Test {
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   }
 
+  // fairgen_doctor's text report for a run dir.
+  std::string DoctorText(const std::string& run_dir) {
+    std::string text_path = TempPath("doctor.txt");
+    std::string command = std::string(FAIRGEN_DOCTOR_PATH) + " " + run_dir +
+                          " > " + text_path + " 2>/dev/null";
+    std::system(command.c_str());
+    return ReadFileOrDie(text_path);
+  }
+
   int ValidateEvents(const std::string& events_path) {
     std::string command = std::string(FAIRGEN_VALIDATE_PATH) +
                           " --kind=events --file=" + events_path +
@@ -163,8 +157,8 @@ class WatchdogE2eTest : public testing::Test {
 
 // Fault A: a poisoned loss batch. The run must finish cleanly (the guard
 // only records, never alters training), the journal must carry a warn
-// alert for loss_non_finite, the Prometheus exposition must count it,
-// and the doctor must say "degraded" — while the generated graph stays
+// alert for loss_non_finite, and the doctor must say "degraded" — while
+// the generated graph stays
 // bit-identical to an uninjected, uninstrumented run.
 TEST_F(WatchdogE2eTest, NanInjectionDegradesRunButNotOutput) {
   std::string edges = TempPath("edges.txt");
@@ -191,7 +185,7 @@ TEST_F(WatchdogE2eTest, NanInjectionDegradesRunButNotOutput) {
   // gradients, so the generated graph is unchanged.
   EXPECT_EQ(ReadFileOrDie(clean_out), ReadFileOrDie(inj_out));
 
-  std::vector<std::string> runs = RunDirs(telemetry_dir);
+  std::vector<std::string> runs = telemetry::RunDirs(telemetry_dir);
   ASSERT_EQ(runs.size(), 1u);
   const std::string& run = runs[0];
 
@@ -211,9 +205,9 @@ TEST_F(WatchdogE2eTest, NanInjectionDegradesRunButNotOutput) {
   }
   EXPECT_TRUE(found) << "no loss_non_finite alert in " << run;
 
-  // The alert reached the labeled Prometheus family.
-  EXPECT_NE(ReadFileOrDie(run + "/metrics.prom")
-                .find("fairgen_alerts_total{rule=\"loss_non_finite\"}"),
+  // The journal is the alert's only record: no Prometheus family
+  // repeats it.
+  EXPECT_EQ(ReadFileOrDie(run + "/metrics.prom").find("alerts"),
             std::string::npos);
 
   // Warn alerts without a fatal: the doctor calls it degraded (exit 1)
@@ -278,7 +272,7 @@ TEST_F(WatchdogE2eTest, RssBreachWritesEmergencyCheckpointAndFailsRun) {
   ASSERT_TRUE(WIFSIGNALED(wait_status)) << wait_status;
   EXPECT_EQ(WTERMSIG(wait_status), SIGTERM);
 
-  std::vector<std::string> runs = RunDirs(telemetry_dir);
+  std::vector<std::string> runs = telemetry::RunDirs(telemetry_dir);
   ASSERT_EQ(runs.size(), 1u);
   const std::string& run = runs[0];
 
@@ -355,7 +349,7 @@ TEST_F(WatchdogE2eTest, WatchdogAndProbesAreBitExactAcrossThreadCounts) {
     EXPECT_EQ(plain, ReadFileOrDie(out)) << "threads=" << threads;
 
     // Each instrumented run journaled its fairness probes.
-    std::vector<std::string> runs = RunDirs(telemetry_dir);
+    std::vector<std::string> runs = telemetry::RunDirs(telemetry_dir);
     ASSERT_EQ(runs.size(), 1u);
     EXPECT_EQ(ValidateEvents(runs[0] + "/events.jsonl"), 0);
     EXPECT_NE(ReadFileOrDie(runs[0] + "/events.jsonl").find("\"fairness\""),
@@ -423,6 +417,62 @@ TEST_F(WatchdogE2eTest, DoctorVerdictLadderOnAuthoredRuns) {
   write_run(torn, base, false, -1);
   EXPECT_EQ(RunDoctor(torn, &json), 2);
   EXPECT_NE(json.find("\"failed\""), std::string::npos) << json;
+}
+
+// The doctor's fairness trend, pinned on hand-authored journals: it
+// reads the probes' R (`discrepancy_mean`) and R+
+// (`protected_discrepancy_mean`) first -> last, in text and --json, and
+// leaves R+ out when the probes do not carry it (no protected set).
+TEST_F(WatchdogE2eTest, DoctorFairnessTrendShowsRPlusBesideR) {
+  auto write_run = [&](const std::string& dir, const std::string& events) {
+    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0) << dir;
+    std::ofstream manifest(dir + "/run.json");
+    manifest << "{\"schema_version\": 1, \"run_id\": \"r1\", "
+             << "\"exit_status\": 0, \"finalized\": true}\n";
+    std::ofstream journal(dir + "/events.jsonl");
+    journal << events;
+  };
+  auto probe = [](int seq, int epoch, const std::string& fields) {
+    return "{\"seq\": " + std::to_string(seq) + ", \"unix_ms\": 1, " +
+           "\"type\": \"probe\", \"name\": \"fairness\", \"epoch\": " +
+           std::to_string(epoch) + ", \"fields\": {" + fields + "}}\n";
+  };
+
+  std::string with_rplus = TempPath("doc_rplus");
+  write_run(with_rplus,
+            probe(1, 0,
+                  "\"disparity_gap\": 0.5, \"discrepancy_mean\": 2.5, "
+                  "\"protected_discrepancy_mean\": 0.75") +
+                probe(2, 1,
+                      "\"disparity_gap\": 0.25, \"discrepancy_mean\": 2, "
+                      "\"protected_discrepancy_mean\": 0.625") +
+                probe(3, 2,
+                      "\"disparity_gap\": 0.125, \"discrepancy_mean\": 1.5, "
+                      "\"protected_discrepancy_mean\": 0.5"));
+  const std::string text = DoctorText(with_rplus);
+  EXPECT_NE(text.find("fairness trend (3 probes): disparity_gap 0.5 -> 0.125, "
+                      "R 2.5 -> 1.5, R+ 0.75 -> 0.5"),
+            std::string::npos)
+      << text;
+  std::string json;
+  EXPECT_EQ(RunDoctor(with_rplus, &json), 0);
+  auto verdict = json::Parse(json);
+  ASSERT_TRUE(verdict.ok()) << json;
+  EXPECT_EQ(verdict->GetDouble("discrepancy_mean_first", -1), 2.5);
+  EXPECT_EQ(verdict->GetDouble("discrepancy_mean_last", -1), 1.5);
+  EXPECT_EQ(verdict->GetDouble("protected_discrepancy_mean_first", -1), 0.75);
+  EXPECT_EQ(verdict->GetDouble("protected_discrepancy_mean_last", -1), 0.5);
+
+  std::string without_rplus = TempPath("doc_no_rplus");
+  write_run(without_rplus,
+            probe(1, 0, "\"disparity_gap\": 0, \"discrepancy_mean\": 3") +
+                probe(2, 1, "\"disparity_gap\": 0, \"discrepancy_mean\": 2"));
+  EXPECT_NE(DoctorText(without_rplus).find("R 3 -> 2\n"), std::string::npos);
+  EXPECT_EQ(RunDoctor(without_rplus, &json), 0);
+  verdict = json::Parse(json);
+  ASSERT_TRUE(verdict.ok()) << json;
+  EXPECT_EQ(verdict->GetDouble("discrepancy_mean_last", -1), 2.0);
+  EXPECT_EQ(verdict->Find("protected_discrepancy_mean_first"), nullptr);
 }
 
 }  // namespace

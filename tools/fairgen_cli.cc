@@ -115,17 +115,18 @@ int Usage() {
       "                             is the fallback when the flag is absent)\n"
       "       --watchdog            run-health rule engine on the telemetry\n"
       "                             tick (requires --telemetry-dir): alert\n"
-      "                             events in events.jsonl + the\n"
-      "                             fairgen_alerts_total{rule=...} counter;\n"
-      "                             fatal rules write an emergency\n"
-      "                             checkpoint and abort (128+SIGTERM)\n"
+      "                             events in events.jsonl; fatal rules\n"
+      "                             write an emergency checkpoint and\n"
+      "                             abort (128+SIGTERM)\n"
       "       --rss-budget-mb=<n>   fatal watchdog rule: abort when process\n"
       "                             RSS exceeds <n> MiB (requires\n"
       "                             --watchdog)\n"
       "       --probe-every=<n>     in-training fairness probe every <n>\n"
-      "                             self-paced cycles: probe.* series +\n"
-      "                             probe events (fairgen models; outputs\n"
-      "                             stay bit-identical)\n"
+      "                             self-paced cycles (requires\n"
+      "                             --telemetry-dir): R, R+ and the NLL\n"
+      "                             gap as probe events in events.jsonl\n"
+      "                             (fairgen models; outputs stay\n"
+      "                             bit-identical)\n"
       "       --log-level=<level>   debug|info|warning|error (default: the\n"
       "                             FAIRGEN_LOG_LEVEL env var, else "
       "warning)\n");
@@ -596,6 +597,12 @@ Status StartTelemetry(const Options& opts, int argc, char** argv) {
   if (opts.telemetry_dir.empty()) {
     if (opts.watchdog) {
       return Status::InvalidArgument("--watchdog requires --telemetry-dir");
+    }
+    // A probe's only record is its journal event, which persists only in
+    // a run dir.
+    if (opts.probe_every > 0) {
+      return Status::InvalidArgument(
+          "--probe-every requires --telemetry-dir");
     }
     if (opts.rss_budget_mb > 0) {
       return Status::InvalidArgument("--rss-budget-mb requires --watchdog");

@@ -18,24 +18,23 @@
 //
 // For every firing rule it prints the alert count and the epoch window
 // [first..last] (training cycles) in which the rule fired, plus the
-// fairness trend across in-training probes (first -> last disparity gap
-// and generation discrepancy). `--json` emits the same triage as a JSON
+// fairness trend across in-training probes (first -> last disparity gap,
+// generation discrepancy R and, when the probes carry it, the protected
+// group's discrepancy R+). `--json` emits the same triage as a JSON
 // object for scripting.
 //
 // Exit status: 0 healthy, 1 degraded, 2 failed, 3 usage or I/O errors.
 
-#include <dirent.h>
-
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/fileio.h"
+#include "common/events.h"
 #include "common/json.h"
 #include "common/strings.h"
+#include "common/telemetry.h"
 
 namespace fairgen::doctor {
 namespace {
@@ -48,11 +47,12 @@ struct RuleWindow {
   std::string last_message;
 };
 
-struct ProbePoint {
-  double epoch = -1.0;
-  double disparity_gap = 0.0;
-  double discrepancy_mean = 0.0;
-};
+// The fairness-trend fields of a probe record and their text labels. R+
+// is journaled only when the run has a protected set.
+constexpr std::pair<const char*, const char*> kTrendFields[] = {
+    {"disparity_gap", "disparity_gap"},
+    {"discrepancy_mean", "R"},
+    {"protected_discrepancy_mean", "R+"}};
 
 struct Triage {
   // Manifest.
@@ -68,28 +68,14 @@ struct Triage {
   bool seq_monotonic = true;
   bool crash_flush = false;
   std::map<std::string, RuleWindow> rules;  // alert name -> window
-  std::vector<ProbePoint> probes;
+  std::vector<events::Event> probes;
   std::vector<std::string> stages;  // stage names in journal order
 };
 
 /// `dir` itself when it holds run.json; otherwise the single run
 /// subdirectory under it (error when none or several).
 Result<std::string> ResolveRunDir(const std::string& dir) {
-  if (PathExists(dir + "/run.json")) return dir;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    return Status::IOError("cannot open directory: " + dir);
-  }
-  std::vector<std::string> runs;
-  while (struct dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name == "." || name == "..") continue;
-    if (PathExists(dir + "/" + name + "/run.json")) {
-      runs.push_back(dir + "/" + name);
-    }
-  }
-  ::closedir(d);
-  std::sort(runs.begin(), runs.end());
+  const std::vector<std::string> runs = telemetry::RunDirs(dir);
   if (runs.size() == 1) return runs[0];
   if (runs.empty()) {
     return Status::NotFound("no run.json under " + dir);
@@ -111,48 +97,40 @@ void ReadManifest(const std::string& run_dir, Triage* triage) {
 }
 
 void ReadEvents(const std::string& run_dir, Triage* triage) {
-  std::ifstream in(run_dir + "/events.jsonl");
-  if (!in.is_open()) return;
+  auto journal = events::ReadJournalFile(run_dir + "/events.jsonl");
+  if (!journal.ok()) return;
   triage->have_events = true;
-  std::string line;
-  double last_seq = 0.0;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    auto doc = json::Parse(line);
-    if (!doc.ok() || !doc->is_object()) {
-      ++triage->malformed_lines;
-      continue;
-    }
-    ++triage->num_events;
-    double seq = doc->GetDouble("seq", 0.0);
-    if (seq <= last_seq) triage->seq_monotonic = false;
-    last_seq = seq;
-    const std::string type = doc->GetString("type");
-    if (type == "crash") {
-      triage->crash_flush = true;
-    } else if (type == "stage") {
-      triage->stages.push_back(doc->GetString("name"));
-    } else if (type == "alert") {
-      RuleWindow& window = triage->rules[doc->GetString("name")];
-      const std::string severity = doc->GetString("severity", "warn");
-      if (window.count == 0 || severity == "fatal") {
-        window.severity = severity;
+  triage->malformed_lines = journal->malformed_lines.size();
+  triage->num_events = journal->events.size();
+  uint64_t last_seq = 0;
+  for (const events::Event& event : journal->events) {
+    if (event.seq <= last_seq) triage->seq_monotonic = false;
+    last_seq = event.seq;
+    switch (event.type) {
+      case events::Type::kCrash:
+        triage->crash_flush = true;
+        break;
+      case events::Type::kStage:
+        triage->stages.push_back(event.name);
+        break;
+      case events::Type::kAlert: {
+        RuleWindow& window = triage->rules[event.name];
+        const std::string severity =
+            event.severity.empty() ? "warn" : event.severity;
+        if (window.count == 0 || severity == "fatal") {
+          window.severity = severity;
+        }
+        ++window.count;
+        if (window.count == 1) window.first_epoch = event.epoch;
+        window.last_epoch = event.epoch;
+        window.last_message = event.message;
+        break;
       }
-      ++window.count;
-      double epoch = doc->GetDouble("epoch", -1.0);
-      if (window.count == 1) window.first_epoch = epoch;
-      window.last_epoch = epoch;
-      window.last_message = doc->GetString("message");
-    } else if (type == "probe") {
-      const json::Value* fields = doc->Find("fields");
-      if (fields != nullptr && fields->is_object()) {
-        ProbePoint point;
-        point.epoch = doc->GetDouble("epoch", -1.0);
-        point.disparity_gap = fields->GetDouble("disparity_gap", 0.0);
-        point.discrepancy_mean = fields->GetDouble("discrepancy_mean", 0.0);
-        triage->probes.push_back(point);
-      }
+      case events::Type::kProbe:
+        triage->probes.push_back(event);
+        break;
+      default:
+        break;
     }
   }
 }
@@ -227,13 +205,16 @@ void PrintText(const std::string& run_dir, const Triage& triage,
     }
   }
   if (!triage.probes.empty()) {
-    const ProbePoint& first = triage.probes.front();
-    const ProbePoint& last = triage.probes.back();
-    std::printf(
-        "fairness trend (%zu probes): disparity_gap %.4g -> %.4g, "
-        "discrepancy %.4g -> %.4g\n",
-        triage.probes.size(), first.disparity_gap, last.disparity_gap,
-        first.discrepancy_mean, last.discrepancy_mean);
+    std::printf("fairness trend (%zu probes):", triage.probes.size());
+    const char* separator = "";
+    for (const auto& [field, label] : kTrendFields) {
+      const double* first = triage.probes.front().Field(field);
+      const double* last = triage.probes.back().Field(field);
+      if (first == nullptr || last == nullptr) continue;
+      std::printf("%s %s %.4g -> %.4g", separator, label, *first, *last);
+      separator = ",";
+    }
+    std::printf("\n");
   }
   std::printf("verdict: %s\n", verdict.c_str());
 }
@@ -261,13 +242,15 @@ void PrintJson(const std::string& run_dir, const Triage& triage,
            ", \"last_epoch\": " + std::to_string(window.last_epoch) + "}";
   }
   out += triage.rules.empty() ? "},\n" : "\n  },\n";
-  if (!triage.probes.empty()) {
-    char buf[128];
+  for (const auto& [field, label] : kTrendFields) {
+    if (triage.probes.empty()) break;
+    const double* first = triage.probes.front().Field(field);
+    const double* last = triage.probes.back().Field(field);
+    if (first == nullptr || last == nullptr) continue;
+    char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "  \"disparity_gap_first\": %.17g,\n"
-                  "  \"disparity_gap_last\": %.17g,\n",
-                  triage.probes.front().disparity_gap,
-                  triage.probes.back().disparity_gap);
+                  "  \"%s_first\": %.17g,\n  \"%s_last\": %.17g,\n", field,
+                  *first, field, *last);
     out += buf;
   }
   out += "  \"verdict\": " + JsonQuote(verdict) + "\n}\n";

@@ -18,38 +18,30 @@
 //   #curves  training curves (NLL, self-paced lambda, parity regulariser,
 //            total loss) as SVG polylines, one per run
 //   #stages  per-stage wall/CPU breakdown from the span summaries
-//   #memory  RSS-over-time from the mem.rss_bytes series
+//   #memory  RSS and nn live bytes at each `stage` event of events.jsonl
 //   #alerts  watchdog alerts from events.jsonl plus the fairness trend
-//            of the in-training probes (probe.disparity_gap,
-//            probe.discrepancy_mean and probe.protected_discrepancy_mean
-//            series)
+//            of the in-training `probe` events: R and R+ per cycle on
+//            one chart, and the walk-NLL disparity gap
 //   #profile sampling-profiler top symbols (profile_top.json, when present)
 //   #compare final counter/gauge values side by side
-
-#include <dirent.h>
-#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/events.h"
+#include "common/fileio.h"
 #include "common/json.h"
 #include "common/strings.h"
+#include "common/telemetry.h"
 
 namespace fairgen::report {
 namespace {
-
-struct AlertRow {
-  std::string rule;
-  std::string severity;
-  double epoch = -1.0;
-  std::string message;
-};
 
 struct RunData {
   std::string dir;
@@ -57,7 +49,10 @@ struct RunData {
   json::Value manifest;
   json::Value snapshot;  // null when snapshot.json is absent
   json::Value profile;   // null when no profile_top.json (profiler off)
-  std::vector<AlertRow> alerts;  // watchdog alerts from events.jsonl
+  // events.jsonl records, by type, in journal order.
+  std::vector<events::Event> alerts;  // watchdog alerts
+  std::vector<events::Event> probes;  // in-training fairness probes
+  std::vector<events::Event> stages;  // stage boundaries (memory readings)
   bool has_snapshot = false;
   bool has_profile = false;
 };
@@ -88,29 +83,6 @@ std::string FormatG(double v) {
   return std::string(buf);
 }
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
-}
-
-bool IsDir(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-}
-
-std::vector<std::string> ListDir(const std::string& path) {
-  std::vector<std::string> names;
-  DIR* dir = ::opendir(path.c_str());
-  if (dir == nullptr) return names;
-  while (struct dirent* entry = ::readdir(dir)) {
-    std::string name = entry->d_name;
-    if (name != "." && name != "..") names.push_back(name);
-  }
-  ::closedir(dir);
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 // Loads one run directory; false when it has no readable manifest.
 bool LoadRun(const std::string& dir, RunData* run) {
   auto manifest = json::ParseFile(dir + "/run.json");
@@ -118,63 +90,42 @@ bool LoadRun(const std::string& dir, RunData* run) {
   run->dir = dir;
   run->manifest = *std::move(manifest);
   run->run_id = run->manifest.GetString("run_id", dir);
-  if (FileExists(dir + "/snapshot.json")) {
+  if (PathExists(dir + "/snapshot.json")) {
     auto snapshot = json::ParseFile(dir + "/snapshot.json");
     if (snapshot.ok()) {
       run->snapshot = *std::move(snapshot);
       run->has_snapshot = true;
     }
   }
-  if (FileExists(dir + "/profile_top.json")) {
+  if (PathExists(dir + "/profile_top.json")) {
     auto profile = json::ParseFile(dir + "/profile_top.json");
     if (profile.ok()) {
       run->profile = *std::move(profile);
       run->has_profile = true;
     }
   }
-  if (FileExists(dir + "/events.jsonl")) {
-    std::ifstream events(dir + "/events.jsonl");
-    std::string line;
-    while (std::getline(events, line)) {
-      if (line.empty()) continue;
-      auto record = json::Parse(line);
-      if (!record.ok() || !record->is_object() ||
-          record->GetString("type") != "alert") {
-        continue;
+  auto journal = events::ReadJournalFile(dir + "/events.jsonl");
+  if (journal.ok()) {
+    for (events::Event& event : journal->events) {
+      if (event.type == events::Type::kAlert) {
+        run->alerts.push_back(std::move(event));
+      } else if (event.type == events::Type::kProbe) {
+        run->probes.push_back(std::move(event));
+      } else if (event.type == events::Type::kStage) {
+        run->stages.push_back(std::move(event));
       }
-      AlertRow row;
-      row.rule = record->GetString("name", "?");
-      row.severity = record->GetString("severity", "warn");
-      row.epoch = record->GetDouble("epoch", -1.0);
-      row.message = record->GetString("message");
-      run->alerts.push_back(std::move(row));
     }
   }
   return true;
 }
 
-// Expands an argument into run dirs: itself when it holds run.json,
-// otherwise every child that does.
-std::vector<std::string> ExpandRunDirs(const std::string& path) {
-  std::vector<std::string> out;
-  if (FileExists(path + "/run.json")) {
-    out.push_back(path);
-    return out;
-  }
-  for (const std::string& child : ListDir(path)) {
-    std::string child_path = path + "/" + child;
-    if (IsDir(child_path) && FileExists(child_path + "/run.json")) {
-      out.push_back(child_path);
-    }
-  }
-  return out;
-}
+using Points = std::vector<std::pair<double, double>>;
 
 // (step, value) points of one named series from a run's snapshot, empty
 // when absent.
-std::vector<std::pair<double, double>> SeriesPoints(
+Points SeriesPoints(
     const RunData& run, const std::string& name) {
-  std::vector<std::pair<double, double>> out;
+  Points out;
   if (!run.has_snapshot) return out;
   const json::Value* metrics = run.snapshot.Find("metrics");
   const json::Value* series =
@@ -194,8 +145,24 @@ std::vector<std::pair<double, double>> SeriesPoints(
 struct ChartSeries {
   std::string label;
   std::string color;
-  std::vector<std::pair<double, double>> points;
+  Points points;
+  bool dashed = false;
 };
+
+// (x, field / divisor) points of the journal records that carry `field`;
+// x is the record's epoch, or its index among `records` when `x_is_index`.
+Points EventPoints(const std::vector<events::Event>& records,
+                   const std::string& field, bool x_is_index,
+                   double divisor = 1.0) {
+  Points out;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const double* value = records[i].Field(field);
+    if (value == nullptr) continue;
+    out.emplace_back(x_is_index ? static_cast<double>(i) : records[i].epoch,
+                     *value / divisor);
+  }
+  return out;
+}
 
 // One fixed-size SVG line chart: axes, four horizontal gridlines with
 // value labels, one polyline per series, legend below. Pure SVG — no
@@ -261,7 +228,8 @@ std::string SvgLineChart(const std::string& title,
   for (const ChartSeries& s : series) {
     if (s.points.empty()) continue;
     svg += "<polyline fill=\"none\" stroke=\"" + s.color +
-           "\" stroke-width=\"1.8\" points=\"";
+           "\" stroke-width=\"1.8\"" +
+           (s.dashed ? " stroke-dasharray=\"6 4\"" : "") + " points=\"";
     for (const auto& [x, y] : s.points) {
       svg += FormatG(px(x)) + "," + FormatG(py(y)) + " ";
     }
@@ -286,21 +254,30 @@ std::string SvgLineChart(const std::string& title,
   return svg;
 }
 
-// Chart of one metrics series across all runs (one polyline per run).
+// The polylines of one run in a cross-run chart: (legend suffix, points).
+using RunLines = std::vector<std::pair<std::string, Points>>;
+
+// One chart across runs: each run gets one palette color and a polyline
+// per entry `lines` returns for it, the first solid and the rest dashed.
+// `what` names the data in the placeholder shown when no run has any.
 std::string CrossRunChart(const std::vector<RunData>& runs,
-                          const std::string& series_name,
-                          const std::string& title) {
+                          const std::string& title, const std::string& what,
+                          const std::function<RunLines(const RunData&)>& lines) {
   std::vector<ChartSeries> chart;
   for (size_t i = 0; i < runs.size(); ++i) {
-    ChartSeries s;
-    s.label = runs[i].run_id;
-    s.color = kPalette[i % kPaletteSize];
-    s.points = SeriesPoints(runs[i], series_name);
-    if (!s.points.empty()) chart.push_back(std::move(s));
+    bool dashed = false;
+    for (auto& [suffix, points] : lines(runs[i])) {
+      if (!points.empty()) {
+        chart.push_back({runs[i].run_id + suffix,
+                         kPalette[i % kPaletteSize], std::move(points),
+                         dashed});
+      }
+      dashed = true;
+    }
   }
   if (chart.empty()) {
-    return "<p class=\"missing\">no `" + HtmlEscape(series_name) +
-           "` series recorded</p>\n";
+    return "<p class=\"missing\">no " + HtmlEscape(what) +
+           " recorded</p>\n";
   }
   return SvgLineChart(title, chart);
 }
@@ -431,13 +408,13 @@ std::string AlertTable(const std::vector<RunData>& runs) {
   html = "<table><tr><th>run</th><th>rule</th><th>severity</th>"
          "<th>epoch</th><th>message</th></tr>\n";
   for (const RunData& run : runs) {
-    for (const AlertRow& alert : run.alerts) {
+    for (const events::Event& alert : run.alerts) {
       std::string severity = HtmlEscape(alert.severity);
       if (alert.severity == "fatal") {
         severity = "<span class=\"warnbadge\">fatal</span>";
       }
       html += "<tr><td>" + HtmlEscape(run.run_id) + "</td><td>" +
-              HtmlEscape(alert.rule) + "</td><td>" + severity + "</td><td>" +
+              HtmlEscape(alert.name) + "</td><td>" + severity + "</td><td>" +
               (alert.epoch < 0 ? std::string("-") : FormatG(alert.epoch)) +
               "</td><td>" + HtmlEscape(alert.message) + "</td></tr>\n";
     }
@@ -562,36 +539,54 @@ std::string RenderReport(const std::vector<RunData>& runs,
           "</section>\n";
 
   html += "<section id=\"curves\">\n<h2>Training curves</h2>\n";
-  html += CrossRunChart(runs, "trainer.nll",
-                        "training NLL per cycle (trainer.nll)");
-  html += CrossRunChart(runs, "trainer.self_paced_lambda",
-                        "self-paced lambda (trainer.self_paced_lambda)");
-  html += CrossRunChart(runs, "trainer.parity_regularizer",
-                        "parity regulariser (trainer.parity_regularizer)");
-  html += CrossRunChart(runs, "trainer.total_loss",
-                        "total loss (trainer.total_loss)");
+  for (const auto& [name, what] :
+       {std::pair<std::string, std::string>{"trainer.nll",
+                                            "training NLL per cycle"},
+        {"trainer.self_paced_lambda", "self-paced lambda"},
+        {"trainer.parity_regularizer", "parity regulariser"},
+        {"trainer.total_loss", "total loss"}}) {
+    html += CrossRunChart(
+        runs, what + " (" + name + ")", "`" + name + "` series",
+        [&name](const RunData& run) {
+          return RunLines{{"", SeriesPoints(run, name)}};
+        });
+  }
   html += "</section>\n";
 
   html += "<section id=\"stages\">\n<h2>Per-stage wall/CPU breakdown</h2>\n" +
           StageTable(runs) + "</section>\n";
 
   html += "<section id=\"memory\">\n<h2>Memory</h2>\n";
-  html += CrossRunChart(runs, "mem.rss_bytes",
-                        "RSS over samples (mem.rss_bytes)");
-  html += CrossRunChart(runs, "nn.bytes",
-                        "nn live bytes over samples (nn.bytes)");
+  html += CrossRunChart(
+      runs,
+      "MiB at each stage event (RSS solid, nn live bytes dashed; x = stage "
+      "index)",
+      "stage events", [](const RunData& run) {
+        constexpr double kMiB = 1024.0 * 1024.0;
+        return RunLines{
+            {" RSS", EventPoints(run.stages, "rss_bytes", true, kMiB)},
+            {" nn live", EventPoints(run.stages, "nn_bytes_live", true, kMiB)}};
+      });
   html += "</section>\n";
 
   html += "<section id=\"alerts\">\n<h2>Run health &amp; fairness trend</h2>\n" +
           AlertTable(runs);
-  html += CrossRunChart(runs, "probe.disparity_gap",
-                        "probe disparity gap R_S+ - R (probe.disparity_gap)");
-  html += CrossRunChart(runs, "probe.discrepancy_mean",
-                        "probe generation discrepancy R "
-                        "(probe.discrepancy_mean)");
-  html += CrossRunChart(runs, "probe.protected_discrepancy_mean",
-                        "probe protected-group discrepancy R+ "
-                        "(probe.protected_discrepancy_mean)");
+  html += CrossRunChart(
+      runs,
+      "probe generation discrepancy per cycle (R solid, protected-group R+ "
+      "dashed)",
+      "probe events", [](const RunData& run) {
+        return RunLines{
+            {" R", EventPoints(run.probes, "discrepancy_mean", false)},
+            {" R+",
+             EventPoints(run.probes, "protected_discrepancy_mean", false)}};
+      });
+  html += CrossRunChart(
+      runs, "probe walk-NLL disparity gap R_S+ - R per cycle", "probe events",
+      [](const RunData& run) {
+        return RunLines{
+            {" gap", EventPoints(run.probes, "disparity_gap", false)}};
+      });
   html += "</section>\n";
 
   html += "<section id=\"profile\">\n<h2>Profiler top symbols</h2>\n" +
@@ -639,7 +634,7 @@ int Main(int argc, char** argv) {
 
   std::vector<RunData> runs;
   for (const std::string& input : inputs) {
-    std::vector<std::string> dirs = ExpandRunDirs(input);
+    std::vector<std::string> dirs = telemetry::RunDirs(input);
     if (dirs.empty()) {
       std::fprintf(stderr, "no run.json under %s\n", input.c_str());
       return 2;

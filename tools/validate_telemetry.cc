@@ -5,7 +5,8 @@
 //                      --file=<artifact> --schema=<golden>
 //
 // Schema files live in tests/golden/ and hold one requirement per line;
-// blank lines and lines starting with '#' are ignored.
+// blank lines and lines starting with '#' are ignored, except `# TYPE `
+// lines, which are Prometheus requirements.
 //
 //   manifest / snapshot  each line is a dotted key path (for example
 //                        `host.hostname`) that must resolve inside the JSON
@@ -15,14 +16,17 @@
 //                        of the remaining path.
 //   prometheus           each line must be a prefix of at least one line of
 //                        the exposition file — used to pin `# TYPE` families
-//                        and sample names without pinning values.
+//                        and sample names without pinning values. The file
+//                        must also declare each family (`# TYPE <name>`)
+//                        at most once, as the text format requires.
 //   events               structural check of a structured event journal
-//                        (events.jsonl): every line must parse as a JSON
-//                        object and `seq` must be strictly increasing in
-//                        file order. Plain schema lines are dotted key
-//                        paths required in EVERY record (`seq`, `fields`);
-//                        `type=<name>` lines require at least one record
-//                        of that type anywhere in the journal.
+//                        (events.jsonl): every line must parse as a
+//                        journal record (`events::ParseJsonLine`, the
+//                        journal's own reader: `seq`, `unix_ms`, a known
+//                        `type`, `name`, numeric `fields`) and `seq` must
+//                        be strictly increasing in file order. Schema
+//                        lines are `type=<name>`: at least one record of
+//                        that type anywhere in the journal.
 //   folded               structural check of a collapsed-stack profile
 //                        (profile.folded): every line must be
 //                        `frame[;frame...]<space><positive count>`. Each
@@ -37,10 +41,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/events.h"
 #include "common/json.h"
 #include "common/strings.h"
 
@@ -56,7 +62,10 @@ bool LoadSchemaLines(const std::string& path, std::vector<std::string>* out) {
     while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
       line.pop_back();
     }
-    if (line.empty() || line[0] == '#') continue;
+    if (line.empty() ||
+        (line[0] == '#' && !StrStartsWith(line, "# TYPE "))) {
+      continue;
+    }
     out->push_back(line);
   }
   return true;
@@ -112,7 +121,20 @@ int ValidatePrometheus(const std::string& file,
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) lines.push_back(line);
-  int missing = 0;
+  int bad = 0;
+  // Family name -> line number of its first `# TYPE` declaration.
+  std::map<std::string, size_t> declared;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (!StrStartsWith(lines[i], "# TYPE ")) continue;
+    const std::string family =
+        lines[i].substr(7, lines[i].find(' ', 7) - 7);
+    const auto [it, added] = declared.emplace(family, i + 1);
+    if (!added) {
+      std::fprintf(stderr, "DUPLICATE family %s: # TYPE at lines %zu and %zu\n",
+                   family.c_str(), it->second, i + 1);
+      ++bad;
+    }
+  }
   for (const std::string& want : schema) {
     bool found = false;
     for (const std::string& have : lines) {
@@ -124,10 +146,10 @@ int ValidatePrometheus(const std::string& file,
     if (!found) {
       std::fprintf(stderr, "MISSING exposition line prefix: %s\n",
                    want.c_str());
-      ++missing;
+      ++bad;
     }
   }
-  return missing == 0 ? 0 : 1;
+  return bad == 0 ? 0 : 1;
 }
 
 // A collapsed-stack line: `stack<space>count`, count a positive integer.
@@ -190,65 +212,44 @@ int ValidateFolded(const std::string& file,
 
 int ValidateEvents(const std::string& file,
                    const std::vector<std::string>& schema) {
-  std::ifstream in(file);
-  if (!in.is_open()) {
+  auto journal = events::ReadJournalFile(file);
+  if (!journal.ok()) {
     std::fprintf(stderr, "cannot read %s\n", file.c_str());
     return 2;
   }
-  std::vector<json::Value> records;
-  std::string line;
-  size_t line_no = 0;
   int bad = 0;
-  double last_seq = 0.0;  // seq starts at 1; 0 never appears in a file
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    auto doc = json::Parse(line);
-    if (!doc.ok() || !doc->is_object()) {
-      std::fprintf(stderr, "MALFORMED event line %zu: %s\n", line_no,
-                   doc.ok() ? "not a JSON object"
-                            : doc.status().ToString().c_str());
-      ++bad;
-      continue;
-    }
-    double seq = doc->GetDouble("seq", 0.0);
-    if (seq <= last_seq) {
-      std::fprintf(stderr,
-                   "NON-INCREASING seq at line %zu: %.17g after %.17g\n",
-                   line_no, seq, last_seq);
-      ++bad;
-    }
-    last_seq = seq;
-    records.push_back(std::move(*doc));
+  for (size_t line_no : journal->malformed_lines) {
+    std::fprintf(stderr, "MALFORMED event line %zu\n", line_no);
+    ++bad;
   }
-  if (records.empty()) {
-    std::fprintf(stderr, "EMPTY journal: %s has no event lines\n",
+  uint64_t last_seq = 0;  // seq starts at 1; 0 never appears in a file
+  for (const events::Event& event : journal->events) {
+    if (event.seq <= last_seq) {
+      std::fprintf(stderr, "NON-INCREASING seq %llu after %llu\n",
+                   static_cast<unsigned long long>(event.seq),
+                   static_cast<unsigned long long>(last_seq));
+      ++bad;
+    }
+    last_seq = event.seq;
+  }
+  if (journal->events.empty()) {
+    std::fprintf(stderr, "EMPTY journal: %s has no event records\n",
                  file.c_str());
     return 1;
   }
   for (const std::string& want : schema) {
-    if (StrStartsWith(want, "type=")) {
-      const std::string type = want.substr(5);
-      bool found = false;
-      for (const json::Value& record : records) {
-        if (record.GetString("type") == type) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr, "MISSING event type: %s\n", type.c_str());
-        ++bad;
-      }
-      continue;
+    if (!StrStartsWith(want, "type=")) {
+      std::fprintf(stderr, "bad events schema line (want type=<name>): %s\n",
+                   want.c_str());
+      return 2;
     }
-    for (size_t i = 0; i < records.size(); ++i) {
-      if (!ResolvePath(records[i], want)) {
-        std::fprintf(stderr, "MISSING key path %s in event %zu\n",
-                     want.c_str(), i + 1);
-        ++bad;
-      }
+    bool found = false;
+    for (const events::Event& event : journal->events) {
+      found = found || want.substr(5) == events::TypeName(event.type);
+    }
+    if (!found) {
+      std::fprintf(stderr, "MISSING event type: %s\n", want.c_str() + 5);
+      ++bad;
     }
   }
   return bad == 0 ? 0 : 1;
