@@ -24,12 +24,12 @@ int main(int argc, char** argv) {
                "R+_Triangles", "prot_volume"});
 
   for (const DatasetSpec& spec : SelectDatasets(options, true)) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
     auto trainer =
-        MakeFairGen(*data, zoo, FairGenVariant::kFull, options.seed);
+        MakeFairGen(*data, zoo, FairGenVariant::kFull, options.run.seed);
     trainer.status().CheckOK();
-    Rng rng(options.seed);
+    Rng rng(options.run.seed);
     (*trainer)->Fit(data->graph, rng).CheckOK();
 
     struct Config {
@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
         {"none", {false, false}},
     };
     for (const Config& cfg : configs) {
-      Rng gen_rng(options.seed ^ 0x77);  // same walks for every config
+      Rng gen_rng(options.run.seed ^ 0x77);  // same walks for every config
       auto generated = (*trainer)->GenerateWithCriteria(cfg.criteria,
                                                         gen_rng);
       generated.status().CheckOK();
@@ -64,5 +64,5 @@ int main(int argc, char** argv) {
   }
   EmitTable(table, options,
             "Assembler ablation — protected preservation by criteria");
-  return 0;
+  return FinishRun(0);
 }

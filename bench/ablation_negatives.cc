@@ -43,21 +43,21 @@ int main(int argc, char** argv) {
                "heldout_NLL", "R_mean", "R+_mean"});
 
   for (const DatasetSpec& spec : SelectDatasets(options, true)) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
     for (bool refresh : {true, false}) {
       FairGenConfig cfg = zoo.fairgen;
       cfg.refresh_negatives = refresh;
       FairGenTrainer trainer(cfg);
-      Rng sup_rng(options.seed);
+      Rng sup_rng(options.run.seed);
       std::vector<int32_t> few =
           FewShotLabels(*data, zoo.labels_per_class, sup_rng);
       trainer.SetSupervision(few, data->protected_set, data->num_classes)
           .CheckOK();
-      Rng rng(options.seed);
+      Rng rng(options.run.seed);
       trainer.Fit(data->graph, rng).CheckOK();
 
-      Rng eval_rng(options.seed ^ 0x99);
+      Rng eval_rng(options.run.seed ^ 0x99);
       double nll = HeldOutNll(trainer, data->graph, cfg.walk_length,
                               eval_rng);
       auto generated = trainer.Generate(rng);
@@ -78,5 +78,5 @@ int main(int argc, char** argv) {
   }
   EmitTable(table, options,
             "Negative-refresh ablation (adversarial vs static negatives)");
-  return 0;
+  return FinishRun(0);
 }

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   Table table({"dataset", "training_walks", "R_overall", "R_protected",
                "gap"});
   for (const DatasetSpec& spec : specs) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
     DisparityProbeConfig probe;
     probe.checkpoints = options.full ? 8 : 4;
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     probe.netgan.train.walk_length = 10;
     probe.netgan.dim = options.full ? 64 : 24;
     probe.netgan.hidden_dim = options.full ? 64 : 24;
-    auto points = ProbeDisparity(*data, probe, options.seed);
+    auto points = ProbeDisparity(*data, probe, options.run.seed);
     points.status().CheckOK();
     for (const DisparityPoint& p : *points) {
       table.AddRow({spec.name, std::to_string(p.iteration),
@@ -41,5 +41,5 @@ int main(int argc, char** argv) {
   }
   EmitTable(table, options,
             "Fig. 1 — R(theta) vs R_S+(theta) over training iterations");
-  return 0;
+  return FinishRun(0);
 }

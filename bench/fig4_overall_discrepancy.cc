@@ -22,12 +22,12 @@ int main(int argc, char** argv) {
   Table table(header);
 
   for (const DatasetSpec& spec : SelectDatasets(options, false)) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
     std::fprintf(stderr, "[fig4] %s: n=%u m=%llu\n", spec.name.c_str(),
                  data->graph.num_nodes(),
                  static_cast<unsigned long long>(data->graph.num_edges()));
-    auto results = EvaluateGenerators(*data, zoo, options.seed);
+    auto results = EvaluateGenerators(*data, zoo, options.run.seed);
     results.status().CheckOK();
     for (const GeneratorEvalResult& r : *results) {
       std::vector<std::string> row{spec.name, r.model};
@@ -39,5 +39,5 @@ int main(int argc, char** argv) {
   }
   EmitTable(table, options,
             "Fig. 4 — overall discrepancy R(G, G~, f_m) (lower is better)");
-  return 0;
+  return FinishRun(0);
 }

@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
   Table table(header);
 
   for (const DatasetSpec& spec : SelectDatasets(options, true)) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
-    auto results = EvaluateGenerators(*data, zoo, options.seed);
+    auto results = EvaluateGenerators(*data, zoo, options.run.seed);
     results.status().CheckOK();
     for (const GeneratorEvalResult& r : *results) {
       if (!r.has_protected) continue;
@@ -34,5 +34,5 @@ int main(int argc, char** argv) {
   EmitTable(table, options,
             "Fig. 5 — protected discrepancy R+(G, G~, S+, f_m) "
             "(lower is better)");
-  return 0;
+  return FinishRun(0);
 }

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   Table table({"dataset", "model", "accuracy", "std", "delta_vs_none",
                "new_edges", "new_intra_frac"});
   for (const DatasetSpec& spec : SelectDatasets(options, true)) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
 
     // Calibrate the embedding budget per dataset so that the
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     for (uint32_t wpn : {4u, 6u, 8u, 10u, 12u, 14u, 16u}) {
       aug.node2vec.walks_per_node = wpn;
       auto probe = ClassifyWithEmbedding(data->graph, *data, aug,
-                                         options.seed, "probe");
+                                         options.run.seed, "probe");
       probe.status().CheckOK();
       double gap = std::abs(probe->mean_accuracy - 0.6);
       if (gap < best_gap) {
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[fig6] %s: calibrated walks_per_node=%u\n",
                  spec.name.c_str(), best_wpn);
 
-    auto results = EvaluateAugmentation(*data, zoo, aug, options.seed);
+    auto results = EvaluateAugmentation(*data, zoo, aug, options.run.seed);
     results.status().CheckOK();
     double base = (*results)[0].mean_accuracy;
     for (const AugmentationResult& r : *results) {
@@ -85,5 +85,5 @@ int main(int argc, char** argv) {
   EmitTable(table, options,
             "Fig. 6 — node classification accuracy with 5% augmentation "
             "(higher is better)");
-  return 0;
+  return FinishRun(0);
 }

@@ -34,20 +34,20 @@ int main(int argc, char** argv) {
   std::vector<DatasetSpec> specs = SelectDatasets(options, true);
   if (specs.empty()) {
     std::fprintf(stderr, "no labeled dataset selected\n");
-    return 2;
+    return FinishRun(2);
   }
   const DatasetSpec& spec = specs.front();
-  auto data = MakeDataset(spec, options.seed);
+  auto data = MakeDataset(spec, options.run.seed);
   data.status().CheckOK();
 
   auto run = [&](const FairGenConfig& cfg) {
     FairGenTrainer trainer(cfg);
-    Rng sup_rng(options.seed);
+    Rng sup_rng(options.run.seed);
     std::vector<int32_t> few =
         FewShotLabels(*data, zoo.labels_per_class, sup_rng);
     trainer.SetSupervision(few, data->protected_set, data->num_classes)
         .CheckOK();
-    Rng rng(options.seed);
+    Rng rng(options.run.seed);
     trainer.Fit(data->graph, rng).CheckOK();
     return trainer.losses();
   };
@@ -93,5 +93,5 @@ int main(int argc, char** argv) {
   }
   EmitTable(lambda_table, options,
             "Fig. 7(d) — overall loss vs self-paced threshold");
-  return 0;
+  return FinishRun(0);
 }

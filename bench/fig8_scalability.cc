@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
                    : std::vector<uint32_t>{300, 600, 900, 1200};
   Table by_nodes({"nodes", "density", "seconds", "us_per_node"});
   for (uint32_t n : node_counts) {
-    double secs = RunOnce(n, 0.005, zoo, options.seed);
+    double secs = RunOnce(n, 0.005, zoo, options.run.seed);
     by_nodes.AddRow({std::to_string(n), "0.005", FormatDouble(secs, 3),
                      FormatDouble(1e6 * secs / n, 1)});
   }
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     uint64_t max_edges =
         static_cast<uint64_t>(fixed_n) * (fixed_n - 1) / 2;
     uint64_t edges = static_cast<uint64_t>(d * max_edges);
-    double secs = RunOnce(fixed_n, d, zoo, options.seed);
+    double secs = RunOnce(fixed_n, d, zoo, options.run.seed);
     by_density.AddRow({std::to_string(fixed_n), FormatDouble(d, 3),
                        std::to_string(edges), FormatDouble(secs, 3),
                        FormatDouble(1e6 * secs / edges, 2)});
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
   std::vector<SweepPoint> sweep;
   double serial_secs = 0.0;
   for (uint32_t t : {1u, 2u, 4u, 8u}) {
-    double secs = RunOnce(sweep_n, 0.005, zoo, options.seed, t);
+    double secs = RunOnce(sweep_n, 0.005, zoo, options.run.seed, t);
     if (t == 1) serial_secs = secs;
     SweepPoint point;
     point.threads = t;
@@ -138,5 +138,5 @@ int main(int argc, char** argv) {
   EmitTable(by_threads, options,
             "Fig. 8(c) — runtime vs worker threads (identical outputs)");
   WriteSweepJson("BENCH_fig8.json", sweep_n, 0.005, pool_max, sweep);
-  return 0;
+  return FinishRun(0);
 }

@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   const uint32_t trials = options.full ? 20000 : 5000;
 
   for (const DatasetSpec& spec : SelectDatasets(options, true)) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
-    Rng rng(options.seed ^ 0x11);
+    Rng rng(options.run.seed ^ 0x11);
 
     struct Region {
       std::string label;
@@ -90,5 +90,5 @@ int main(int argc, char** argv) {
   }
   EmitTable(table, options,
             "Lemma 2.1 — P[T-step lazy walk stays in S] >= 1 - T*delta*phi");
-  return 0;
+  return FinishRun(0);
 }

@@ -30,12 +30,12 @@ int main(int argc, char** argv) {
   Table table({"dataset", "model", "degree_mmd", "clustering_mmd",
                "protected_degree_mmd"});
   for (const DatasetSpec& spec : SelectDatasets(options, true)) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
-    auto zoo_models = MakeModelZoo(*data, zoo, options.seed);
+    auto zoo_models = MakeModelZoo(*data, zoo, options.run.seed);
     zoo_models.status().CheckOK();
     for (auto& model : *zoo_models) {
-      Rng rng(options.seed);
+      Rng rng(options.run.seed);
       model->Fit(data->graph, rng).CheckOK();
       auto generated = model->Generate(rng);
       generated.status().CheckOK();
@@ -55,5 +55,5 @@ int main(int argc, char** argv) {
   EmitTable(table, options,
             "MMD^2 between original and generated distributions "
             "(lower is better)");
-  return 0;
+  return FinishRun(0);
 }

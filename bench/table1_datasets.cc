@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   std::vector<DatasetSpec> targets = TableIDatasets();
   std::vector<DatasetSpec> specs = SelectDatasets(options, false);
   for (const DatasetSpec& spec : specs) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
     const DatasetSpec* target = nullptr;
     for (const DatasetSpec& t : targets) {
@@ -46,5 +46,5 @@ int main(int argc, char** argv) {
                          : "Table I (scale=" +
                                FormatDouble(options.EffectiveScale(), 3) +
                                ")");
-  return 0;
+  return FinishRun(0);
 }

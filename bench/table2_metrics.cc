@@ -16,12 +16,12 @@ int main(int argc, char** argv) {
   for (const auto& name : MetricNames()) header.push_back(name);
   Table table(header);
   for (const DatasetSpec& spec : SelectDatasets(options, false)) {
-    auto data = MakeDataset(spec, options.seed);
+    auto data = MakeDataset(spec, options.run.seed);
     data.status().CheckOK();
     GraphMetrics m = ComputeMetrics(data->graph);
     auto arr = m.ToArray();
     table.AddRow(spec.name, std::vector<double>(arr.begin(), arr.end()), 3);
   }
   EmitTable(table, options, "Table II — six network properties");
-  return 0;
+  return FinishRun(0);
 }

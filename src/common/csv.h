@@ -47,8 +47,8 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// \brief Parses CSV text (the dialect `Table::ToCsv` and the metrics
-/// registry emit: comma-separated, no quoting) back into a `Table`.
+/// \brief Parses CSV text (the dialect `Table::ToCsv` emits:
+/// comma-separated, no quoting) back into a `Table`.
 ///
 /// Tolerated input variations: CRLF and LF line endings, a missing final
 /// newline, blank lines, and `#` comment lines. Malformed input — empty

@@ -43,8 +43,6 @@ const char* TypeName(Type type) {
       return "alert";
     case Type::kProbe:
       return "probe";
-    case Type::kConfig:
-      return "config";
     case Type::kCrash:
       return "crash";
   }

@@ -19,7 +19,7 @@ namespace events {
 
 /// \brief Structured run-event journal: an append-only sequence of typed
 /// records (stage transitions, checkpoint writes, alerts, probe results,
-/// config, crash) with process-monotonic sequence numbers. Producers call
+/// crash) with process-monotonic sequence numbers. Producers call
 /// `Journal::Global().Emit(...)` from anywhere; the telemetry Publisher
 /// flushes pending records to `<run_dir>/events.jsonl` on every snapshot
 /// tick and — via the crash flush — when the process dies on a signal.
@@ -42,13 +42,12 @@ enum class Type : int {
   kCheckpoint,   ///< training checkpoint written
   kAlert,        ///< watchdog rule fired (severity: warn | fatal)
   kProbe,        ///< in-training fairness probe result
-  kConfig,       ///< run start/end provenance
   kCrash,        ///< signal-path crash flush
 };
-inline constexpr int kNumTypes = 6;
+inline constexpr int kNumTypes = 5;
 
 /// Stable wire name of `type` ("stage", "checkpoint", "alert", "probe",
-/// "config", "crash").
+/// "crash").
 const char* TypeName(Type type);
 
 /// \brief One journal record. Producers fill everything except `seq` and

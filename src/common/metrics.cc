@@ -301,17 +301,6 @@ std::string MetricsRegistry::ToJson() const {
   return out;
 }
 
-std::string MetricsRegistry::ToCsv() const {
-  std::string out = "metric,type,field,value\n";
-  for (const MetricSnapshot& snap : Snapshot()) {
-    for (const auto& [field, value] : snap.fields) {
-      out += snap.name + "," + snap.type + "," + field + "," +
-             FormatValue(value) + "\n";
-    }
-  }
-  return out;
-}
-
 namespace {
 
 Status WriteTextFile(const std::string& path, const std::string& text) {
@@ -328,10 +317,6 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
 
 Status MetricsRegistry::WriteJson(const std::string& path) const {
   return WriteTextFile(path, ToJson());
-}
-
-Status MetricsRegistry::WriteCsv(const std::string& path) const {
-  return WriteTextFile(path, ToCsv());
 }
 
 void MetricsRegistry::ResetValues() {

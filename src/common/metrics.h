@@ -202,12 +202,7 @@ class MetricsRegistry {
   /// "histograms": {...}, "series": {...}} with name-sorted keys.
   std::string ToJson() const;
 
-  /// CSV table with header `metric,type,field,value`; one row per
-  /// flattened field, `%.17g` values so doubles round-trip exactly.
-  std::string ToCsv() const;
-
   Status WriteJson(const std::string& path) const;
-  Status WriteCsv(const std::string& path) const;
 
   /// Zeroes every metric's value, keeping all registrations (and every
   /// reference handed out) valid.

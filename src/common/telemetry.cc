@@ -291,17 +291,6 @@ Status Publisher::Init() {
   sequence_.store(0, std::memory_order_relaxed);
   // This publisher flushes the journal, so from here on it keeps records.
   events::Journal::Global().SetBuffering(true);
-  {
-    events::Event event;
-    event.type = events::Type::kConfig;
-    event.name = "run_start";
-    event.message = options_.binary;
-    event.fields = {
-        {"seed", static_cast<double>(options_.seed)},
-        {"threads", static_cast<double>(options_.threads)},
-        {"interval_ms", static_cast<double>(options_.interval_ms)}};
-    events::Journal::Global().Emit(std::move(event));
-  }
   FAIRGEN_RETURN_NOT_OK(WriteManifest(false, -1, 0));
   running_.store(true, std::memory_order_relaxed);
   FAIRGEN_RETURN_NOT_OK(SnapshotNow());
@@ -420,13 +409,6 @@ void Publisher::Stop(int exit_status) {
   }
   cv_.notify_all();
   if (snapshot_thread_.joinable()) snapshot_thread_.join();
-  {
-    events::Event event;
-    event.type = events::Type::kConfig;
-    event.name = "run_end";
-    event.fields = {{"exit_status", static_cast<double>(exit_status)}};
-    events::Journal::Global().Emit(std::move(event));
-  }
   Status s = WriteSnapshotFiles();
   // The last tick's own alerts came after the records it flushed.
   if (s.ok()) {

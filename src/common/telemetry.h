@@ -174,8 +174,9 @@ class Publisher {
 /// \brief Installs best-effort SIGINT/SIGTERM/SIGABRT handlers that flush
 /// telemetry before the process dies: the global `Publisher` (if any)
 /// gets a last snapshot and a finalized manifest with exit status
-/// `128 + sig`, then `extra_flush` runs (the `--metrics-out`/`--trace-out`
-/// writers that otherwise only fire from `atexit`), and the default
+/// `128 + sig`, then `extra_flush` runs (the run front end's emergency
+/// checkpoints and `--metrics-out`/`--trace-out` writers,
+/// core/run_options.h), and the default
 /// disposition is restored and the signal re-raised so the exit status
 /// still reports the kill. `extra_flush` may be null. SIGINT/SIGTERM can
 /// land on a thread inside malloc or holding a lock the flush needs, so

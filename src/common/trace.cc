@@ -258,22 +258,6 @@ std::string Tracer::ToJson() const {
   return out;
 }
 
-std::string Tracer::ToCsv() const {
-  std::string out = "name,cat,start_ns,wall_ns,cpu_ns,depth,thread\n";
-  for (const SpanRecord& s : Snapshot()) {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf), "%s,%s,%llu,%llu,%llu,%u,%u\n",
-                  s.name.c_str(),
-                  std::string(CategoryName(s.category)).c_str(),
-                  static_cast<unsigned long long>(s.start_ns),
-                  static_cast<unsigned long long>(s.wall_ns),
-                  static_cast<unsigned long long>(s.cpu_ns), s.depth,
-                  s.thread);
-    out += buf;
-  }
-  return out;
-}
-
 std::string Tracer::ToChromeTrace() const {
   std::vector<SpanRecord> spans = Snapshot();
   std::string out = "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
@@ -356,10 +340,6 @@ Status WriteTextFile(const std::string& path, const std::string& text) {
 
 Status Tracer::WriteJson(const std::string& path) const {
   return WriteTextFile(path, ToJson());
-}
-
-Status Tracer::WriteCsv(const std::string& path) const {
-  return WriteTextFile(path, ToCsv());
 }
 
 Status Tracer::WriteChromeTrace(const std::string& path) const {

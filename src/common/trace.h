@@ -123,9 +123,6 @@ class Tracer {
   ///   "cpu_ns": ..., "depth": ..., "thread": ...}, ...]
   std::string ToJson() const;
 
-  /// CSV with header `name,cat,start_ns,wall_ns,cpu_ns,depth,thread`.
-  std::string ToCsv() const;
-
   /// Chrome trace-event JSON (the format ui.perfetto.dev and
   /// chrome://tracing load directly): one complete ("ph":"X") event per
   /// span with microsecond `ts`/`dur` plus thread-CPU `tts`/`tdur`, one
@@ -136,7 +133,6 @@ class Tracer {
   std::string ToChromeTrace() const;
 
   Status WriteJson(const std::string& path) const;
-  Status WriteCsv(const std::string& path) const;
   Status WriteChromeTrace(const std::string& path) const;
 
   /// Writes Chrome trace-event JSON when `path` ends in `.perfetto.json`,

@@ -3,6 +3,7 @@
 #include <signal.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -21,6 +22,13 @@ std::string FormatValue(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return std::string(buf);
+}
+
+uint64_t SteadyMillis() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 void DefaultFatalHandler() {
@@ -65,6 +73,7 @@ void Watchdog::Configure(const Options& options) {
   exploding_ = RuleState{};
   plateau_ = RuleState{};
   stall_ = RuleState{};
+  stall_since_ms_ = 0;
   rss_ = RuleState{};
   dropped_ = RuleState{};
   drift_ = DriftState{};
@@ -174,20 +183,20 @@ std::vector<Alert> Watchdog::EvaluateTick() {
           static_cast<double>(journal.TypeCount(events::Type::kStage) +
                               journal.TypeCount(events::Type::kCheckpoint) +
                               journal.TypeCount(events::Type::kProbe));
+      const uint64_t now_ms = SteadyMillis();
       if (progress != stall_.marker) {
         stall_.marker = progress;
-        stall_.streak = 0;
+        stall_since_ms_ = now_ms;
         stall_.fired = false;
-      } else if (progress > 0.0) {
-        ++stall_.streak;
-        if (stall_.streak >= options_.stall_ticks && !stall_.fired) {
-          fired.push_back({"stage_stall", Severity::kWarn,
-                           "no stage/cycle progress for " +
-                               std::to_string(stall_.streak) +
-                               " publisher ticks",
-                           epoch, progress});
-          stall_.fired = true;
-        }
+      } else if (progress > 0.0 &&
+                 now_ms - stall_since_ms_ >= options_.stall_window_ms &&
+                 !stall_.fired) {
+        fired.push_back({"stage_stall", Severity::kWarn,
+                         "no stage/cycle progress for " +
+                             FormatValue((now_ms - stall_since_ms_) / 1e3) +
+                             " s",
+                         epoch, progress});
+        stall_.fired = true;
       }
     }
 

@@ -25,8 +25,8 @@ namespace watchdog {
 ///                           `explode_factor` x the best point
 ///   loss_plateau     warn   no new `trainer.total_loss` minimum in the
 ///                           last `plateau_cycles` recorded cycles
-///   stage_stall      warn   no progress for `stall_ticks` consecutive
-///                           ticks; progress counts `trainer.cycles`
+///   stage_stall      warn   no progress for `stall_window_ms` of wall
+///                           time; progress counts `trainer.cycles`
 ///                           and the journal's `stage` (memprobe
 ///                           samples), checkpoint and probe events
 ///   rss_budget       fatal  process RSS above `rss_budget_mb` for
@@ -45,7 +45,7 @@ namespace watchdog {
 
 enum class Severity { kWarn, kFatal };
 
-/// \brief Watchdog configuration (CLI: `--watchdog`, `--rss-budget-mb`).
+/// \brief Watchdog configuration (run flags `--watchdog`, `--rss-budget-mb`).
 struct Options {
   /// Master switch; a disabled watchdog's `EvaluateTick` returns empty.
   bool enabled = false;
@@ -57,7 +57,7 @@ struct Options {
   /// short run still catches a blowup.
   uint32_t rss_debounce_ticks = 1;
   /// Fatal rules hold fire until `trainer.cycles` reaches this count.
-  /// The CLI sets 1 when checkpointing is on, so the emergency-checkpoint
+  /// `StartRun` sets 1 when checkpointing is on, so the emergency-checkpoint
   /// double buffer is primed before a fatal abort can fire.
   uint32_t fatal_arm_cycles = 0;
 
@@ -65,10 +65,11 @@ struct Options {
   uint32_t plateau_cycles = 25;
   /// `loss_exploding` threshold relative to the best recorded loss.
   double explode_factor = 1000.0;
-  /// `stage_stall` window in publisher ticks without any progress. A
-  /// self-paced cycle emits nothing until it ends (its generator step is
-  /// most of the cycle), so the window must outlast the longest cycle.
-  uint32_t stall_ticks = 120;
+  /// `stage_stall` window: wall time without any progress, whatever the
+  /// publisher interval. A self-paced cycle emits nothing until it ends
+  /// (its generator step is most of the cycle), so the window must
+  /// outlast the longest cycle.
+  uint64_t stall_window_ms = 120000;
   /// `fairness_drift`: relative growth factor of the disparity gap...
   double drift_factor = 2.0;
   /// ...with an absolute floor, so near-zero initial gaps don't alert on
@@ -137,6 +138,7 @@ class Watchdog {
   RuleState exploding_;      // guarded by mu_
   RuleState plateau_;        // guarded by mu_
   RuleState stall_;          // guarded by mu_
+  uint64_t stall_since_ms_ = 0;  // last progress change; guarded by mu_
   RuleState rss_;            // guarded by mu_
   RuleState dropped_;        // guarded by mu_
   DriftState drift_;         // guarded by mu_

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <sstream>
 #include <string>
@@ -64,6 +65,34 @@ bool GuardFiniteLoss(double value, const char* component, double* sum) {
 // one stacked tape per batch; each shard after the first costs one model
 // replica and a gradient fold per batch.
 constexpr uint32_t kGeneratorGradShards = 2;
+
+// The trainers whose Fit runs with a checkpoint dir: the signal flush
+// persists each one's latest completed cycle. The flush holds
+// `g_live_mu` while it writes, which keeps a trainer alive until its
+// write is done.
+std::mutex g_live_mu;
+std::vector<FairGenTrainer*> g_live_trainers;
+
+// Lists `trainer` (when non-null) in `g_live_trainers` for its lifetime.
+class LiveTrainerScope {
+ public:
+  explicit LiveTrainerScope(FairGenTrainer* trainer) : trainer_(trainer) {
+    if (trainer_ == nullptr) return;
+    std::lock_guard<std::mutex> lock(g_live_mu);
+    g_live_trainers.push_back(trainer_);
+  }
+  ~LiveTrainerScope() {
+    if (trainer_ == nullptr) return;
+    std::lock_guard<std::mutex> lock(g_live_mu);
+    g_live_trainers.erase(std::find(g_live_trainers.begin(),
+                                    g_live_trainers.end(), trainer_));
+  }
+  LiveTrainerScope(const LiveTrainerScope&) = delete;
+  LiveTrainerScope& operator=(const LiveTrainerScope&) = delete;
+
+ private:
+  FairGenTrainer* trainer_;
+};
 
 }  // namespace
 
@@ -356,6 +385,7 @@ Status FairGenTrainer::Fit(const Graph& graph, Rng& rng) {
   if (!ckpt_dir.empty()) {
     FAIRGEN_RETURN_NOT_OK(MakeDirectories(ckpt_dir));
   }
+  LiveTrainerScope live(ckpt_dir.empty() ? nullptr : this);
   uint32_t start_cycle = 0;
   bool resumed = false;
   if (config_.checkpoint.resume) {
@@ -1174,6 +1204,18 @@ void FairGenTrainer::WriteEmergencyCheckpoint(bool wait_for_lock) {
   // still holds, so a failure here leaves the previous file intact.
   WriteFileAtomicSignalSafe(pending_.path.c_str(), pending_.tmp_path.c_str(),
                             pending_.blob.data(), pending_.blob.size());
+}
+
+void FairGenTrainer::WriteLiveEmergencyCheckpoints(bool wait_for_lock) {
+  std::unique_lock<std::mutex> lock(g_live_mu, std::defer_lock);
+  if (wait_for_lock) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
+    return;
+  }
+  for (FairGenTrainer* trainer : g_live_trainers) {
+    trainer->WriteEmergencyCheckpoint(wait_for_lock);
+  }
 }
 
 Result<Graph> FairGenTrainer::Generate(Rng& rng) {

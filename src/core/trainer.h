@@ -84,8 +84,7 @@ class FairGenTrainer : public GraphGenerator {
   Status LoadCheckpoint(const std::string& path);
 
   /// Writes the most recent pending training checkpoint (captured at the
-  /// last completed self-paced cycle boundary) to its file. Installed as
-  /// the CLI's signal flush so SIGINT/SIGTERM persist progress; safe to
+  /// last completed self-paced cycle boundary) to its file. Safe to
   /// call from any thread while training runs on. It waits for the
   /// training loop's checkpoint lock, unless `wait_for_lock` is false:
   /// then it gives up when the lock is held, which is what a signal
@@ -94,6 +93,13 @@ class FairGenTrainer : public GraphGenerator {
   /// built at the cycle boundary). A no-op when nothing is pending.
   /// Never throws; failures are swallowed (best-effort crash path).
   void WriteEmergencyCheckpoint(bool wait_for_lock = true);
+
+  /// WriteEmergencyCheckpoint on every trainer whose Fit is running with
+  /// a checkpoint dir (Fit lists itself for its duration). The run's
+  /// signal flush (core/run_options.h) calls it, so SIGINT/SIGTERM and
+  /// fatal watchdog rules persist the progress of any front end's fits.
+  /// Without `wait_for_lock` it skips whatever lock is held.
+  static void WriteLiveEmergencyCheckpoints(bool wait_for_lock);
 
   /// Generates synthetic walks from g_θ and assembles them under the
   /// fairness criteria of Sec. II-D.

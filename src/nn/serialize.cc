@@ -2,14 +2,9 @@
 
 #include <cstring>
 
-#include "common/fileio.h"
-
 namespace fairgen::nn {
 
 namespace {
-constexpr char kMagic[] = "FGCKPT1\n";
-constexpr size_t kMagicLen = sizeof(kMagic) - 1;
-
 template <typename T>
 void AppendRaw(std::string& out, T v) {
   char buf[sizeof(T)];
@@ -105,71 +100,6 @@ Result<Tensor> ByteReader::ReadTensor() {
               static_cast<size_t>(count) * sizeof(float));
   pos_ += static_cast<size_t>(count) * sizeof(float);
   return t;
-}
-
-Status SaveParameters(const std::string& path,
-                      const std::vector<Var>& params) {
-  // Validate before serializing a single byte, then write atomically: a
-  // failed save must never leave a truncated file at `path` (the old
-  // streaming writer emitted the header before noticing a null parameter).
-  for (const Var& p : params) {
-    if (p == nullptr) {
-      return Status::InvalidArgument("null parameter in checkpoint list");
-    }
-  }
-  std::string out(kMagic, kMagicLen);
-  AppendU64(out, params.size());
-  for (const Var& p : params) {
-    AppendTensor(out, p->value);
-  }
-  return WriteFileAtomic(path, out);
-}
-
-Status LoadParameters(const std::string& path,
-                      const std::vector<Var>& params) {
-  FAIRGEN_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  if (bytes.size() < kMagicLen ||
-      std::memcmp(bytes.data(), kMagic, kMagicLen) != 0) {
-    return Status::InvalidArgument("not a FairGen checkpoint: " + path);
-  }
-  ByteReader reader(bytes, kMagicLen);
-  auto count = reader.ReadU64();
-  if (!count.ok() || *count != params.size()) {
-    return Status::InvalidArgument(
-        "checkpoint parameter count mismatch: file has " +
-        (count.ok() ? std::to_string(*count) : std::string("<unreadable>")) +
-        ", model has " + std::to_string(params.size()));
-  }
-  // Decode and validate everything first; only then copy into the model,
-  // so a bad file never leaves the parameters half-overwritten.
-  std::vector<Tensor> tensors;
-  tensors.reserve(params.size());
-  for (const Var& p : params) {
-    auto t = reader.ReadTensor();
-    if (!t.ok()) {
-      return Status::InvalidArgument("truncated checkpoint: " + path + ": " +
-                                     t.status().message());
-    }
-    if (!t->SameShape(p->value)) {
-      return Status::InvalidArgument(
-          "checkpoint shape mismatch: file [" + std::to_string(t->rows()) +
-          "," + std::to_string(t->cols()) + "] vs model [" +
-          std::to_string(p->value.rows()) + "," +
-          std::to_string(p->value.cols()) + "]");
-    }
-    tensors.push_back(t.MoveValueUnsafe());
-  }
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(reader.remaining()) +
-        " trailing bytes after the last tensor (concatenated or corrupted "
-        "file): " +
-        path);
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i]->value = std::move(tensors[i]);
-  }
-  return Status::OK();
 }
 
 }  // namespace fairgen::nn

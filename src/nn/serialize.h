@@ -3,19 +3,16 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
-#include "nn/autograd.h"
 #include "nn/tensor.h"
 
 namespace fairgen::nn {
 
 /// \name Byte-buffer primitives
 ///
-/// Little-endian fixed-width encoders/decoders shared by the FGCKPT1
-/// parameter files below and the sectioned FGCKPT2 training checkpoints
-/// (core/checkpoint.h). `ByteReader` is a bounds-checked cursor: every
+/// Little-endian fixed-width encoders/decoders of the sectioned FGCKPT2
+/// training checkpoints (core/checkpoint.h). `ByteReader` is a bounds-checked cursor: every
 /// decode fails with `InvalidArgument` instead of reading past the end,
 /// so a truncated or corrupted checkpoint can never crash the loader.
 /// @{
@@ -61,27 +58,6 @@ class ByteReader {
 };
 
 /// @}
-
-/// \brief Writes the parameter values to a binary checkpoint.
-///
-/// Format: magic "FGCKPT1\n", uint64 count, then per tensor
-/// uint64 rows, uint64 cols, rows*cols little-endian float32. The
-/// parameter *order* defines identity — load into a model built with the
-/// same architecture/config.
-///
-/// The write is atomic (temp + fsync + rename, common/fileio.h): a failed
-/// save leaves no partial file at `path`, and a concurrent reader never
-/// observes a torn checkpoint.
-Status SaveParameters(const std::string& path,
-                      const std::vector<Var>& params);
-
-/// \brief Restores parameter values from a checkpoint written by
-/// SaveParameters. Fails if the count or any shape disagrees with
-/// `params` (architecture mismatch), if the file is truncated, or if
-/// trailing bytes follow the last tensor (a concatenated or corrupted
-/// file). No parameter is modified unless the whole file validates.
-Status LoadParameters(const std::string& path,
-                      const std::vector<Var>& params);
 
 }  // namespace fairgen::nn
 

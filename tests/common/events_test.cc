@@ -44,7 +44,6 @@ TEST(EventTypeTest, WireNamesAreStable) {
   EXPECT_STREQ(TypeName(Type::kCheckpoint), "checkpoint");
   EXPECT_STREQ(TypeName(Type::kAlert), "alert");
   EXPECT_STREQ(TypeName(Type::kProbe), "probe");
-  EXPECT_STREQ(TypeName(Type::kConfig), "config");
   EXPECT_STREQ(TypeName(Type::kCrash), "crash");
 }
 
@@ -130,6 +129,9 @@ TEST(EventJsonTest, ParseJsonLineRejectsMalformedRecords) {
            "{\"seq\": 1, \"name\": \"fit\"}",             // no type
            "{\"seq\": 1, \"type\": \"stage\"}",           // no name
            "{\"seq\": 1, \"type\": \"bogus\", \"name\": \"x\"}",
+           // The retired `config` type: run.json holds that provenance.
+           "{\"seq\": 1, \"unix_ms\": 1, \"type\": \"config\", "
+           "\"name\": \"run_start\", \"fields\": {}}",
            "{\"seq\": 1, \"type\": \"stage\", \"name\": \"x\", "
            "\"fields\": {}}",  // no unix_ms
            "{\"seq\": 1, \"unix_ms\": 1, \"type\": \"stage\", "
@@ -152,8 +154,8 @@ TEST(JournalFileTest, ReadsRecordsAndCountsMalformedLines) {
            "\"name\": \"load\", \"fields\": {}}\r\n"
         << "\n"
         << "{\"seq\": 2, \"torn\n"
-        << "{\"seq\": 3, \"unix_ms\": 3, \"type\": \"config\", "
-           "\"name\": \"run_end\", \"fields\": {}}\n";
+        << "{\"seq\": 3, \"unix_ms\": 3, \"type\": \"crash\", "
+           "\"name\": \"signal_flush\", \"fields\": {}}\n";
   }
   auto file = ReadJournalFile(path);
   std::remove(path.c_str());
@@ -191,8 +193,8 @@ TEST_F(JournalTest, FlushAppendsOnceAndClearsPending) {
   std::remove(path.c_str());
 
   Event event;
-  event.type = Type::kConfig;
-  event.name = "run_start";
+  event.type = Type::kStage;
+  event.name = "load";
   journal.Emit(event);
   ASSERT_TRUE(journal.FlushTo(path).ok());
   EXPECT_EQ(journal.pending(), 0u);
@@ -203,7 +205,7 @@ TEST_F(JournalTest, FlushAppendsOnceAndClearsPending) {
   EXPECT_EQ(ReadLines(path).size(), 1u);
 
   // The next record lands after the first — append, not rewrite.
-  event.name = "run_end";
+  event.name = "fit";
   journal.Emit(event);
   ASSERT_TRUE(journal.FlushTo(path).ok());
   const std::vector<std::string> lines = ReadLines(path);
@@ -211,8 +213,8 @@ TEST_F(JournalTest, FlushAppendsOnceAndClearsPending) {
   auto first = json::Parse(lines[0]);
   auto second = json::Parse(lines[1]);
   ASSERT_TRUE(first.ok() && second.ok());
-  EXPECT_EQ(first->GetString("name"), "run_start");
-  EXPECT_EQ(second->GetString("name"), "run_end");
+  EXPECT_EQ(first->GetString("name"), "load");
+  EXPECT_EQ(second->GetString("name"), "fit");
   EXPECT_GT(second->GetDouble("seq", 0), first->GetDouble("seq", 0));
   std::remove(path.c_str());
 }

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/csv.h"
 #include "common/json.h"
 #include "common/parallel.h"
 
@@ -174,60 +173,6 @@ TEST_F(MetricsTest, SnapshotIsSortedAndTyped) {
   }
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_gauge);
-}
-
-// The JSON and CSV exports flatten identically, so the CSV — parsed back
-// through the repo's own CSV reader — must reproduce every field value the
-// snapshot (and hence the JSON) reports, bit-for-bit (%.17g round-trip).
-TEST_F(MetricsTest, CsvExportRoundTripsAgainstJson) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("test.roundtrip.counter").Increment(12345);
-  reg.GetGauge("test.roundtrip.gauge").Set(0.1);  // not exactly representable
-  Histogram& h =
-      reg.GetHistogram("test.roundtrip.histogram", {1.0, 2.0});
-  h.Reset();
-  h.Observe(0.7);
-  h.Observe(1.7);
-  h.Observe(99.0);
-  Series& s = reg.GetSeries("test.roundtrip.series");
-  s.Reset();
-  s.Append(0, 1.0 / 3.0);
-  s.Append(1, 2.0 / 3.0);
-
-  auto csv = ParseCsv(reg.ToCsv());
-  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
-  ASSERT_EQ(csv->header(),
-            (std::vector<std::string>{"metric", "type", "field", "value"}));
-
-  // Index the parsed rows by (metric, field).
-  std::map<std::pair<std::string, std::string>, std::pair<std::string, double>>
-      parsed;
-  for (const auto& row : csv->rows()) {
-    ASSERT_EQ(row.size(), 4u);
-    parsed[{row[0], row[2]}] = {row[1], std::strtod(row[3].c_str(), nullptr)};
-  }
-
-  std::vector<MetricSnapshot> snap = reg.Snapshot();
-  std::string json = reg.ToJson();
-  size_t checked = 0;
-  for (const MetricSnapshot& m : snap) {
-    EXPECT_NE(json.find("\"" + m.name + "\""), std::string::npos)
-        << m.name << " missing from JSON export";
-    for (const auto& [field, value] : m.fields) {
-      auto it = parsed.find({m.name, field});
-      ASSERT_NE(it, parsed.end())
-          << m.name << "." << field << " missing from CSV export";
-      EXPECT_EQ(it->second.first, m.type);
-      // Exact: %.17g preserves doubles through text.
-      EXPECT_EQ(it->second.second, value) << m.name << "." << field;
-      ++checked;
-    }
-  }
-  EXPECT_EQ(checked, csv->rows().size())
-      << "CSV export has rows the snapshot does not";
-  // This test alone registers 9 fields (1 counter + 1 gauge + 5 histogram
-  // + 2 series); more when other tests ran in the same process.
-  EXPECT_GE(checked, 9u);
 }
 
 // Counter-track support for the Chrome trace export: every appended point

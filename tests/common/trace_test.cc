@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/csv.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 
@@ -74,7 +73,7 @@ TEST_F(TraceTest, ConcurrentSpansAllRecorded) {
   EXPECT_EQ(Tracer::Global().size(), kSpans);
 }
 
-TEST_F(TraceTest, JsonAndCsvExports) {
+TEST_F(TraceTest, JsonExport) {
   Tracer::Global().SetEnabled(true);
   { ScopedSpan span("test.export"); }
   std::string json = Tracer::Global().ToJson();
@@ -82,15 +81,7 @@ TEST_F(TraceTest, JsonAndCsvExports) {
       << json;
   EXPECT_NE(json.find("\"wall_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"cpu_ns\""), std::string::npos);
-
-  auto csv = ParseCsv(Tracer::Global().ToCsv());
-  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
-  ASSERT_EQ(csv->header(),
-            (std::vector<std::string>{"name", "cat", "start_ns", "wall_ns",
-                                      "cpu_ns", "depth", "thread"}));
-  ASSERT_EQ(csv->num_rows(), 1u);
-  EXPECT_EQ(csv->rows()[0][0], "test.export");
-  EXPECT_EQ(csv->rows()[0][1], "general");
+  EXPECT_NE(json.find("\"cat\": \"general\""), std::string::npos) << json;
 }
 
 TEST_F(TraceTest, CategoryNamesAreStable) {

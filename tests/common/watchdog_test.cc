@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,33 +146,74 @@ TEST_F(WatchdogTest, PlateauFiresWhenWindowHasNoNewMinimum) {
   EXPECT_TRUE(Tick().empty());
 }
 
+// The stall window is wall time: a quiet tick fires once the window has
+// passed since the last progress, however many ticks that took.
 TEST_F(WatchdogTest, StallFiresAfterQuietTicksAndResetsOnProgress) {
   Options options;
   options.enabled = true;
-  options.stall_ticks = 3;
+  options.stall_window_ms = 50;
   Configure(options);
   // No progress at all: never armed, never fires.
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(Tick().empty());
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(Tick().empty());
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_TRUE(Tick().empty());
 
   events::Event stage;
   stage.type = events::Type::kStage;
   stage.name = "fit";
   events::Journal::Global().Emit(stage);
-  EXPECT_TRUE(Tick().empty());  // progress observed, streak resets
-  EXPECT_TRUE(Tick().empty());  // streak 1
-  EXPECT_TRUE(Tick().empty());  // streak 2
-  std::vector<Alert> fired = Tick();  // streak 3 -> fire
+  EXPECT_TRUE(Tick().empty());  // progress observed, window restarts
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  std::vector<Alert> fired = Tick();
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].rule, "stage_stall");
   EXPECT_TRUE(Tick().empty());  // latched
 
-  // New progress clears the latch; the next quiet stretch fires again.
+  // New progress clears the latch; the next quiet window fires again.
   stage.name = "generate";
   events::Journal::Global().Emit(stage);
   EXPECT_TRUE(Tick().empty());
-  EXPECT_TRUE(Tick().empty());
-  EXPECT_TRUE(Tick().empty());
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
   EXPECT_EQ(Tick().size(), 1u);
+}
+
+// At a 20 ms publisher interval the rule stays quiet for the whole
+// window: when it counted ticks, a healthy cycle that outlived 120 ticks
+// (2.4 s at 20 ms) raised a stall.
+TEST_F(WatchdogTest, StallWindowIsWallTimeAtAShortInterval) {
+  using Clock = std::chrono::steady_clock;
+  Options options;
+  options.enabled = true;
+  options.stall_window_ms = 400;
+  Configure(options);
+  events::Event stage;
+  stage.type = events::Type::kStage;
+  stage.name = "fit";
+  events::Journal::Global().Emit(stage);
+  const Clock::time_point progress = Clock::now();
+  ASSERT_TRUE(Tick().empty());  // observes the progress
+
+  // The watchdog's and this test's clocks are read a little apart, so
+  // each check keeps a margin from the window's edge.
+  const auto window = std::chrono::milliseconds(options.stall_window_ms);
+  const auto margin = std::chrono::milliseconds(5);
+  int quiet_ticks = 0;
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const Clock::duration before = Clock::now() - progress;
+    std::vector<Alert> fired = Tick();
+    const Clock::duration after = Clock::now() - progress;
+    if (!fired.empty()) {
+      EXPECT_EQ(fired[0].rule, "stage_stall");
+      EXPECT_GE(after + margin, window) << "fired inside the window";
+      break;
+    }
+    ASSERT_LT(before, window + margin) << "window passed without a stall";
+    ++quiet_ticks;
+  }
+  // A window of 400 ms spans about 20 ticks of 20 ms (fewer when the
+  // machine is loaded and a sleep overshoots).
+  EXPECT_GE(quiet_ticks, 5);
 }
 
 TEST_F(WatchdogTest, RssBudgetIsFatalDebouncedAndArmGated) {

@@ -296,6 +296,29 @@ TEST(CheckpointResumeTest, RejectsEveryCorruptionClass) {
     expect_rejected("mid-tensor cut");
   }
 
+  // A parameter count or tensor shape that disagrees with the model
+  // (section payload: u64 count, then per tensor u64 rows, u64 cols and
+  // the floats).
+  {
+    ASSERT_TRUE(WriteFileAtomic(path, *pristine).ok());
+    auto reader = CheckpointReader::ReadFile(path);
+    ASSERT_TRUE(reader.ok());
+    auto params = reader->Section(ckpt::kSectionParams);
+    ASSERT_TRUE(params.ok());
+    std::string corrupted = **params;
+    ASSERT_GT(corrupted.size(), 24u);
+    ++corrupted[0];
+    ReplaceSection(path, ckpt::kSectionParams, corrupted);
+    expect_rejected("parameter count mismatch");
+
+    corrupted = **params;
+    ASSERT_NE(corrupted.substr(8, 8), corrupted.substr(16, 8));
+    std::swap_ranges(corrupted.begin() + 8, corrupted.begin() + 16,
+                     corrupted.begin() + 16);  // rows <-> cols
+    ReplaceSection(path, ckpt::kSectionParams, corrupted);
+    expect_rejected("shape mismatch");
+  }
+
   // A label outside [-1, num_classes) — bit rot in the labels section.
   {
     ASSERT_TRUE(WriteFileAtomic(path, *pristine).ok());

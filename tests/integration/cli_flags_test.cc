@@ -87,17 +87,6 @@ TEST_F(CliFlagsTest, TelemetryPortIsAnUnknownFlag) {
   EXPECT_NE(err.find("unknown flag"), std::string::npos) << err;
 }
 
-// A probe's only record is its journal event, which persists only in a
-// telemetry run dir, so probing without one is a flag error, not a run
-// whose probes vanish.
-TEST_F(CliFlagsTest, ProbeEveryRequiresTelemetryDir) {
-  std::string err;
-  EXPECT_EQ(RunCli("--model=fairgen --probe-every=1", &err), 2);
-  EXPECT_NE(err.find("--probe-every requires --telemetry-dir"),
-            std::string::npos)
-      << err;
-}
-
 TEST_F(CliFlagsTest, TrailingJunkIsAFlagError) {
   std::string err;
   EXPECT_EQ(RunCli("--walks=12x", &err), 2);
@@ -113,21 +102,17 @@ TEST_F(CliFlagsTest, NegativeValueForUnsignedFlagIsAFlagError) {
 
 TEST_F(CliFlagsTest, OverflowIsAFlagError) {
   std::string err;
-  EXPECT_EQ(RunCli("--seed=99999999999999999999999", &err), 2);
+  EXPECT_EQ(RunCli("--walks=99999999999999999999999", &err), 2);
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
   // A value that parses but exceeds the flag's width is equally an error.
   EXPECT_EQ(RunCli("--cycles=4294967296", &err), 2);
   EXPECT_NE(err.find("bad --cycles"), std::string::npos) << err;
 }
 
+// The CLI's own numeric flags; the run flags it shares with the benches
+// are covered in run_front_end_test.cc.
 TEST_F(CliFlagsTest, EveryNumericFlagRejectsGarbage) {
-  const char* flags[] = {
-      "--seed",        "--walks",
-      "--cycles",      "--epochs",
-      "--threads",     "--checkpoint-every",
-      "--checkpoint-retain", "--telemetry-interval-ms",
-      "--profile-hz",  "--rss-budget-mb",
-      "--probe-every"};
+  const char* flags[] = {"--walks", "--cycles", "--epochs"};
   for (const char* flag : flags) {
     std::string err;
     EXPECT_EQ(RunCli(std::string(flag) + "=abc", &err), 2) << flag;

@@ -381,8 +381,8 @@ TEST_F(WatchdogE2eTest, DoctorVerdictLadderOnAuthoredRuns) {
     journal << events;
   };
   const std::string base =
-      "{\"seq\": 1, \"unix_ms\": 1, \"type\": \"config\", "
-      "\"name\": \"run_start\", \"fields\": {}}\n"
+      "{\"seq\": 1, \"unix_ms\": 1, \"type\": \"stage\", "
+      "\"name\": \"load\", \"fields\": {}}\n"
       "{\"seq\": 2, \"unix_ms\": 2, \"type\": \"stage\", "
       "\"name\": \"fit\", \"fields\": {}}\n";
   const std::string warn_alert =

@@ -8,34 +8,27 @@
 //                                              Eq. 15/16 discrepancies
 //   core      <edges.txt> --nodes=<file>       diffusion core of a node set
 //
-// Shared flags:
+// Model flags:
 //   --model=fairgen|fairgen-r|fairgen-nospl|fairgen-noparity|
-//           er|ba|gae|netgan|taggen            (default fairgen)
+//           er|ba|gae|vgae|netgan|taggen       (default fairgen)
 //   --labels=<file>      "node label" per line (few-shot supervision)
 //   --protected=<file>   one protected node id per line
-//   --seed=<n>           RNG seed (default 7)
 //   --walks=<n>          training walks per round (default 300)
 //   --cycles=<n>         self-paced cycles (default 4)
 //   --epochs=<n>         generator epochs per cycle (default 2)
+// plus the run flags shared with the paper benches (core/run_options.h).
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/csv.h"
-#include "common/logging.h"
 #include "common/memprobe.h"
-#include "common/metrics.h"
-#include "common/prof.h"
 #include "common/strings.h"
-#include "common/telemetry.h"
-#include "common/trace.h"
-#include "common/watchdog.h"
+#include "core/run_options.h"
 #include "core/trainer.h"
 #include "generators/ba.h"
 #include "generators/er.h"
@@ -61,24 +54,10 @@ struct Options {
   std::string out_path;
   std::string save_model_path;
   std::string load_model_path;
-  std::string metrics_out_path;
-  std::string trace_out_path;
-  std::string log_level;
-  std::string telemetry_dir;
-  std::string checkpoint_dir;
-  uint32_t checkpoint_every = 1;
-  uint32_t checkpoint_retain = 3;
-  bool resume = false;
-  uint32_t telemetry_interval_ms = 1000;
-  uint32_t profile_hz = 0;            // 0 = profiler off
-  bool watchdog = false;
-  uint64_t rss_budget_mb = 0;         // 0 = no RSS budget rule
-  uint32_t probe_every = 0;           // 0 = fairness probe off
-  uint64_t seed = 7;
   uint32_t walks = 300;
   uint32_t cycles = 4;
   uint32_t epochs = 2;
-  uint32_t threads = 1;
+  RunOptions run;
 };
 
 int Usage() {
@@ -86,67 +65,26 @@ int Usage() {
       stderr,
       "usage: fairgen <stats|generate|evaluate|core> <edges.txt> [flags]\n"
       "flags: --model=<name> --labels=<file> --protected=<file>\n"
-      "       --nodes=<file> --out=<file> --seed=<n> --walks=<n>\n"
-      "       --cycles=<n> --epochs=<n> --threads=<n>\n"
+      "       --nodes=<file> --out=<file> --walks=<n> --cycles=<n>\n"
+      "       --epochs=<n>\n"
       "       --save-model=<ckpt> --load-model=<ckpt> (fairgen models)\n"
-      "       --checkpoint-dir=<d>  fault tolerance (fairgen models):\n"
-      "                             write ckpt-*.fgckpt training\n"
-      "                             checkpoints under <d> (atomic renames;\n"
-      "                             SIGINT/SIGTERM flush the latest state)\n"
-      "       --checkpoint-every=<n>  cycles between checkpoints (default\n"
-      "                             1; the final cycle always checkpoints)\n"
-      "       --checkpoint-retain=<n>  checkpoint files kept (default 3)\n"
-      "       --resume              resume from the newest valid\n"
-      "                             checkpoint in --checkpoint-dir; the\n"
-      "                             resumed run is bit-identical to the\n"
-      "                             uninterrupted one\n"
-      "       --metrics-out=<file>  write the metrics registry as JSON\n"
-      "       --trace-out=<file>    enable tracing, write spans as JSON\n"
-      "                             (*.perfetto.json / *.chrome.json: Chrome\n"
-      "                             trace-event format for ui.perfetto.dev)\n"
-      "       --telemetry-dir=<d>   live telemetry: per-run dir under <d>\n"
-      "                             with run.json + periodic snapshot.json\n"
-      "                             and metrics.prom (atomic renames)\n"
-      "       --telemetry-interval-ms=<n>  snapshot period (default 1000)\n"
-      "       --profile-hz=<n>      sampling profiler at <n> Hz: stack\n"
-      "                             samples; profile.folded and\n"
-      "                             profile_top.json land in the\n"
-      "                             --telemetry-dir run dir (FAIRGEN_PROF_HZ\n"
-      "                             is the fallback when the flag is absent)\n"
-      "       --watchdog            run-health rule engine on the telemetry\n"
-      "                             tick (requires --telemetry-dir): alert\n"
-      "                             events in events.jsonl; fatal rules\n"
-      "                             write an emergency checkpoint and\n"
-      "                             abort (128+SIGTERM)\n"
-      "       --rss-budget-mb=<n>   fatal watchdog rule: abort when process\n"
-      "                             RSS exceeds <n> MiB (requires\n"
-      "                             --watchdog)\n"
-      "       --probe-every=<n>     in-training fairness probe every <n>\n"
-      "                             self-paced cycles (requires\n"
-      "                             --telemetry-dir): R, R+ and the NLL\n"
-      "                             gap as probe events in events.jsonl\n"
-      "                             (fairgen models; outputs stay\n"
-      "                             bit-identical)\n"
-      "       --log-level=<level>   debug|info|warning|error (default: the\n"
-      "                             FAIRGEN_LOG_LEVEL env var, else "
-      "warning)\n");
+      "run flags (shared with the paper benches):\n%s",
+      RunFlagsHelp());
   return 2;
 }
 
-// Strict numeric-flag parsing (common/strings ParseInt/ParseUint): the
-// whole value must be a base-10 integer in range. `--cycles=abc`,
-// `--walks=12x`, or a negative value for an unsigned flag are flag errors
-// (exit code 2 via Usage), never a silent 0 or a wrapped huge unsigned —
-// which is what the old null-endptr strtol/strtoul calls produced.
-template <typename T>
-Status ParseUintFlag(std::string_view flag, std::string_view text, T* out) {
-  Result<uint64_t> parsed = ParseUint(text, std::numeric_limits<T>::max());
+// Strict numeric-flag parsing, as for the run flags: `--cycles=abc`,
+// `--walks=12x`, or a negative value are flag errors (exit code 2 via
+// Usage), never a silent 0 or a wrapped huge unsigned.
+Status ParseUintFlag(std::string_view flag, std::string_view text,
+                     uint32_t* out) {
+  Result<uint64_t> parsed = ParseUint(text, UINT32_MAX);
   if (!parsed.ok()) {
     return Status::InvalidArgument("bad " + std::string(flag) + "='" +
                                    std::string(text) + "': " +
                                    parsed.status().message());
   }
-  *out = static_cast<T>(*parsed);
+  *out = static_cast<uint32_t>(*parsed);
   return Status::OK();
 }
 
@@ -154,7 +92,12 @@ Result<Options> Parse(int argc, char** argv) {
   if (argc < 3) return Status::InvalidArgument("missing command or input");
   Options opts;
   opts.command = argv[1];
+  if (opts.command != "stats" && opts.command != "generate" &&
+      opts.command != "evaluate" && opts.command != "core") {
+    return Status::InvalidArgument("unknown command: " + opts.command);
+  }
   opts.edges_path = argv[2];
+  opts.run.threads = 1;
   for (int i = 3; i < argc; ++i) {
     std::string_view arg = argv[i];
     auto value = [&arg](std::string_view prefix) {
@@ -170,9 +113,6 @@ Result<Options> Parse(int argc, char** argv) {
       opts.nodes_path = value("--nodes=");
     } else if (StrStartsWith(arg, "--out=")) {
       opts.out_path = value("--out=");
-    } else if (StrStartsWith(arg, "--seed=")) {
-      FAIRGEN_RETURN_NOT_OK(
-          ParseUintFlag("--seed", value("--seed="), &opts.seed));
     } else if (StrStartsWith(arg, "--walks=")) {
       FAIRGEN_RETURN_NOT_OK(
           ParseUintFlag("--walks", value("--walks="), &opts.walks));
@@ -182,64 +122,14 @@ Result<Options> Parse(int argc, char** argv) {
     } else if (StrStartsWith(arg, "--epochs=")) {
       FAIRGEN_RETURN_NOT_OK(
           ParseUintFlag("--epochs", value("--epochs="), &opts.epochs));
-    } else if (StrStartsWith(arg, "--threads=")) {
-      FAIRGEN_RETURN_NOT_OK(
-          ParseUintFlag("--threads", value("--threads="), &opts.threads));
     } else if (StrStartsWith(arg, "--save-model=")) {
       opts.save_model_path = value("--save-model=");
     } else if (StrStartsWith(arg, "--load-model=")) {
       opts.load_model_path = value("--load-model=");
-    } else if (StrStartsWith(arg, "--checkpoint-dir=")) {
-      opts.checkpoint_dir = value("--checkpoint-dir=");
-    } else if (StrStartsWith(arg, "--checkpoint-every=")) {
-      FAIRGEN_RETURN_NOT_OK(ParseUintFlag("--checkpoint-every",
-                                          value("--checkpoint-every="),
-                                          &opts.checkpoint_every));
-    } else if (StrStartsWith(arg, "--checkpoint-retain=")) {
-      FAIRGEN_RETURN_NOT_OK(ParseUintFlag("--checkpoint-retain",
-                                          value("--checkpoint-retain="),
-                                          &opts.checkpoint_retain));
-    } else if (arg == "--resume") {
-      opts.resume = true;
-    } else if (StrStartsWith(arg, "--metrics-out=")) {
-      opts.metrics_out_path = value("--metrics-out=");
-    } else if (StrStartsWith(arg, "--trace-out=")) {
-      opts.trace_out_path = value("--trace-out=");
-    } else if (StrStartsWith(arg, "--telemetry-dir=")) {
-      opts.telemetry_dir = value("--telemetry-dir=");
-    } else if (StrStartsWith(arg, "--telemetry-interval-ms=")) {
-      FAIRGEN_RETURN_NOT_OK(ParseUintFlag("--telemetry-interval-ms",
-                                          value("--telemetry-interval-ms="),
-                                          &opts.telemetry_interval_ms));
-    } else if (StrStartsWith(arg, "--profile-hz=")) {
-      FAIRGEN_RETURN_NOT_OK(ParseUintFlag(
-          "--profile-hz", value("--profile-hz="), &opts.profile_hz));
-      if (opts.profile_hz == 0 || opts.profile_hz > 10000) {
-        return Status::InvalidArgument("bad --profile-hz (want 1..10000)");
-      }
-    } else if (arg == "--watchdog") {
-      opts.watchdog = true;
-    } else if (StrStartsWith(arg, "--rss-budget-mb=")) {
-      FAIRGEN_RETURN_NOT_OK(ParseUintFlag(
-          "--rss-budget-mb", value("--rss-budget-mb="), &opts.rss_budget_mb));
-      if (opts.rss_budget_mb == 0) {
-        return Status::InvalidArgument("bad --rss-budget-mb (want >= 1)");
-      }
-    } else if (StrStartsWith(arg, "--probe-every=")) {
-      FAIRGEN_RETURN_NOT_OK(ParseUintFlag(
-          "--probe-every", value("--probe-every="), &opts.probe_every));
-    } else if (StrStartsWith(arg, "--log-level=")) {
-      opts.log_level = value("--log-level=");
-      LogLevel parsed;
-      if (!ParseLogLevel(opts.log_level, &parsed)) {
-        return Status::InvalidArgument("bad --log-level: " + opts.log_level);
-      }
     } else {
-      return Status::InvalidArgument("unknown flag: " + std::string(arg));
+      FAIRGEN_RETURN_NOT_OK(ParseRunFlag(arg, &opts.run));
     }
   }
-  // The explicit flag wins; FAIRGEN_PROF_HZ is the no-rebuild fallback.
-  if (opts.profile_hz == 0) opts.profile_hz = prof::HzFromEnv();
   return opts;
 }
 
@@ -309,7 +199,7 @@ Result<std::vector<NodeId>> LoadNodeSet(const std::string& path,
 Result<std::unique_ptr<GraphGenerator>> BuildModel(const Options& opts,
                                                    const Graph& graph) {
   const std::string& m = opts.model;
-  if ((!opts.checkpoint_dir.empty() || opts.resume) &&
+  if ((!opts.run.checkpoint_dir.empty() || opts.run.resume) &&
       !StrStartsWith(m, "fairgen")) {
     return Status::InvalidArgument(
         "--checkpoint-dir/--resume are only supported for fairgen* models");
@@ -330,7 +220,7 @@ Result<std::unique_ptr<GraphGenerator>> BuildModel(const Options& opts,
     WalkLMTrainConfig train;
     train.num_walks = opts.walks;
     train.epochs = opts.epochs;
-    train.num_threads = opts.threads;
+    train.num_threads = opts.run.threads;
     if (m == "netgan") {
       NetGanConfig cfg;
       cfg.train = train;
@@ -347,12 +237,12 @@ Result<std::unique_ptr<GraphGenerator>> BuildModel(const Options& opts,
   cfg.num_walks = opts.walks;
   cfg.self_paced_cycles = opts.cycles;
   cfg.generator_epochs = opts.epochs;
-  cfg.num_threads = opts.threads;
-  cfg.checkpoint.dir = opts.checkpoint_dir;
-  cfg.checkpoint.every_cycles = opts.checkpoint_every;
-  cfg.checkpoint.retain = opts.checkpoint_retain;
-  cfg.checkpoint.resume = opts.resume;
-  cfg.probe_every = opts.probe_every;
+  cfg.num_threads = opts.run.threads;
+  cfg.checkpoint.dir = opts.run.checkpoint_dir;
+  cfg.checkpoint.every_cycles = opts.run.checkpoint_every;
+  cfg.checkpoint.retain = opts.run.checkpoint_retain;
+  cfg.checkpoint.resume = opts.run.resume;
+  cfg.probe_every = opts.run.probe_every;
   if (m == "fairgen") {
     cfg.variant = FairGenVariant::kFull;
   } else if (m == "fairgen-r") {
@@ -393,7 +283,7 @@ void PrintMetrics(const char* title, const Graph& graph) {
 Status RunStats(const Options& opts) {
   FAIRGEN_ASSIGN_OR_RETURN(Graph graph, LoadEdgeList(opts.edges_path));
   PrintMetrics("graph", graph);
-  Rng rng(opts.seed);
+  Rng rng(opts.run.seed);
   ExtendedGraphMetrics ext =
       ComputeExtendedMetrics(graph, /*path_samples=*/256, rng);
   std::printf("  %-14s %.6g\n", "GlobalClust", ext.global_clustering);
@@ -413,25 +303,6 @@ Status RunStats(const Options& opts) {
   return Status::OK();
 }
 
-// The live FairGen trainer while a fit/generate is in flight, so
-// SIGINT/SIGTERM can persist the latest completed-cycle checkpoint. The
-// flush holds `g_signal_trainer_mu` while it writes, which keeps the
-// trainer alive until the write is done.
-std::mutex g_signal_trainer_mu;
-FairGenTrainer* g_signal_trainer = nullptr;
-
-// Publishes/clears the signal-visible trainer for the enclosing scope.
-struct SignalTrainerScope {
-  explicit SignalTrainerScope(FairGenTrainer* trainer) {
-    std::lock_guard<std::mutex> lock(g_signal_trainer_mu);
-    g_signal_trainer = trainer;
-  }
-  ~SignalTrainerScope() {
-    std::lock_guard<std::mutex> lock(g_signal_trainer_mu);
-    g_signal_trainer = nullptr;
-  }
-};
-
 // Fit (or restore), optionally save, generate, write — in that order.
 // The master rng runs through fit and then generate unsplit, so a seed
 // names one output graph. Saving draws no rng, and it finishes before
@@ -445,8 +316,7 @@ Status RunGenerate(const Options& opts) {
   FAIRGEN_ASSIGN_OR_RETURN(std::unique_ptr<GraphGenerator> model,
                            BuildModel(opts, graph));
   auto* fairgen_trainer = dynamic_cast<FairGenTrainer*>(model.get());
-  SignalTrainerScope signal_scope(fairgen_trainer);
-  Rng rng(opts.seed);
+  Rng rng(opts.run.seed);
 
   if (!opts.load_model_path.empty()) {
     if (fairgen_trainer == nullptr) {
@@ -492,9 +362,7 @@ Status RunEvaluate(const Options& opts) {
   FAIRGEN_ASSIGN_OR_RETURN(Graph graph, LoadEdgeList(opts.edges_path));
   FAIRGEN_ASSIGN_OR_RETURN(std::unique_ptr<GraphGenerator> model,
                            BuildModel(opts, graph));
-  SignalTrainerScope signal_scope(
-      dynamic_cast<FairGenTrainer*>(model.get()));
-  Rng rng(opts.seed);
+  Rng rng(opts.run.seed);
   FAIRGEN_RETURN_NOT_OK(model->Fit(graph, rng));
   FAIRGEN_ASSIGN_OR_RETURN(Graph generated, model->Generate(rng));
 
@@ -538,141 +406,17 @@ Status RunCore(const Options& opts) {
   return Status::OK();
 }
 
-// Options of the live invocation, for the signal-flush path (plain
-// pointer set once in Main before any work runs).
-const Options* g_signal_opts = nullptr;
-
-// Writes --metrics-out / --trace-out files if requested. Runs even when the
-// command failed: partial telemetry is often exactly what's needed to debug
-// the failure.
-Status WriteTelemetry(const Options& opts) {
-  // Disarm the sampling timer and drain the rings first so the profile
-  // artifacts (written by the publisher's final snapshot) are complete.
-  prof::Profiler::Global().Stop();
-  memprobe::Sample("exit");
-  if (!opts.metrics_out_path.empty()) {
-    FAIRGEN_RETURN_NOT_OK(
-        metrics::MetricsRegistry::Global().WriteJson(opts.metrics_out_path));
-    std::fprintf(stderr, "wrote metrics to %s\n",
-                 opts.metrics_out_path.c_str());
-  }
-  if (!opts.trace_out_path.empty()) {
-    FAIRGEN_RETURN_NOT_OK(
-        trace::Tracer::Global().WriteAuto(opts.trace_out_path));
-    std::fprintf(stderr, "wrote %zu trace spans to %s\n",
-                 trace::Tracer::Global().size(), opts.trace_out_path.c_str());
-  }
-  return Status::OK();
-}
-
-// Best-effort flush for SIGTERM/SIGINT/abort: the publisher's crash flush
-// has already run by the time telemetry::InstallSignalFlush calls this;
-// this covers the --metrics-out/--trace-out files that otherwise only
-// appear on a normal return from Main.
-void SignalExtraFlush() {
-  // The training checkpoint first: it is the state the user would lose.
-  // Inside the SIGABRT handler a lock may be held by the aborting thread
-  // itself, so there the write is skipped rather than waited for.
-  const bool wait = !telemetry::FlushingInSignalHandler();
-  std::unique_lock<std::mutex> lock(g_signal_trainer_mu, std::defer_lock);
-  if (wait) {
-    lock.lock();
-  } else {
-    lock.try_lock();
-  }
-  if (lock.owns_lock() && g_signal_trainer != nullptr) {
-    g_signal_trainer->WriteEmergencyCheckpoint(/*wait_for_lock=*/wait);
-  }
-  // On SIGABRT this runs inside the signal handler, where the export
-  // path (it allocates and takes locks) can deadlock on the aborting
-  // thread; only take that risk when there is an output file to save.
-  if (g_signal_opts != nullptr && (!g_signal_opts->metrics_out_path.empty() ||
-                                   !g_signal_opts->trace_out_path.empty())) {
-    WriteTelemetry(*g_signal_opts);
-  }
-}
-
-// Starts the live-telemetry publisher when --telemetry-dir was given.
-Status StartTelemetry(const Options& opts, int argc, char** argv) {
-  if (opts.telemetry_dir.empty()) {
-    if (opts.watchdog) {
-      return Status::InvalidArgument("--watchdog requires --telemetry-dir");
-    }
-    // A probe's only record is its journal event, which persists only in
-    // a run dir.
-    if (opts.probe_every > 0) {
-      return Status::InvalidArgument(
-          "--probe-every requires --telemetry-dir");
-    }
-    if (opts.rss_budget_mb > 0) {
-      return Status::InvalidArgument("--rss-budget-mb requires --watchdog");
-    }
-    return Status::OK();
-  }
-  if (opts.rss_budget_mb > 0 && !opts.watchdog) {
-    return Status::InvalidArgument("--rss-budget-mb requires --watchdog");
-  }
-  if (opts.watchdog) {
-    watchdog::Options wd;
-    wd.enabled = true;
-    wd.rss_budget_mb = opts.rss_budget_mb;
-    // With checkpointing on, hold fatal rules until at least one cycle
-    // has completed so an emergency checkpoint is pending and the
-    // SIGTERM path leaves a valid FGCKPT2 file behind.
-    wd.fatal_arm_cycles = opts.checkpoint_dir.empty() ? 0 : 1;
-    watchdog::Watchdog::Global().Configure(wd);
-  }
-  telemetry::PublisherOptions pub;
-  pub.dir = opts.telemetry_dir;
-  pub.interval_ms = opts.telemetry_interval_ms;
-  pub.binary = argc > 0 ? argv[0] : "fairgen";
-  for (int i = 1; i < argc; ++i) pub.args.emplace_back(argv[i]);
-  pub.seed = opts.seed;
-  pub.threads = opts.threads;
-  FAIRGEN_ASSIGN_OR_RETURN(telemetry::Publisher * publisher,
-                           telemetry::Publisher::StartGlobal(std::move(pub)));
-  std::fprintf(stderr, "telemetry run dir: %s\n",
-               publisher->run_dir().c_str());
-  return Status::OK();
-}
-
 int Main(int argc, char** argv) {
   auto opts = Parse(argc, argv);
   if (!opts.ok()) {
     std::fprintf(stderr, "%s\n", opts.status().ToString().c_str());
     return Usage();
   }
-  // Log level: explicit flag > FAIRGEN_LOG_LEVEL env var > quiet default.
-  LogLevel level;
-  if (!opts->log_level.empty() && ParseLogLevel(opts->log_level, &level)) {
-    SetLogLevel(level);
-  } else if (!InitLogLevelFromEnv()) {
-    SetLogLevel(LogLevel::kWarning);
-  }
-  if (!opts->trace_out_path.empty()) {
-    trace::Tracer::Global().SetEnabled(true);
-  }
-  Status telemetry_start = StartTelemetry(*opts, argc, argv);
-  if (!telemetry_start.ok()) {
-    std::fprintf(stderr, "error: %s\n", telemetry_start.ToString().c_str());
+  Status started = StartRun(opts->run, argc, argv);
+  if (!started.ok()) {
+    std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
     return Usage();
   }
-  if (opts->profile_hz > 0) {
-    prof::ProfilerOptions prof_options;
-    prof_options.hz = opts->profile_hz;
-    Status prof_start = prof::Profiler::Global().Start(prof_options);
-    if (!prof_start.ok()) {
-      std::fprintf(stderr, "error: profiler start failed: %s\n",
-                   prof_start.ToString().c_str());
-      return Usage();
-    }
-    std::fprintf(stderr, "profiling at %u Hz\n", opts->profile_hz);
-  }
-  // Crash-safe flush: a SIGTERM/SIGINT/abort mid-run still leaves a final
-  // snapshot, a finalized manifest (exit status 128+sig) and the
-  // --metrics-out/--trace-out files behind, best-effort.
-  g_signal_opts = &*opts;
-  telemetry::InstallSignalFlush(&SignalExtraFlush);
   Status status;
   if (opts->command == "stats") {
     status = RunStats(*opts);
@@ -680,27 +424,13 @@ int Main(int argc, char** argv) {
     status = RunGenerate(*opts);
   } else if (opts->command == "evaluate") {
     status = RunEvaluate(*opts);
-  } else if (opts->command == "core") {
-    status = RunCore(*opts);
   } else {
-    return Usage();
+    status = RunCore(*opts);
   }
-  // A signal flush that started while the command ran ends the process
-  // here; a signal that comes later is ignored, so nothing races these
-  // final writes and the manifest's exit status is the process's.
-  telemetry::EndSignalFlush();
-  Status telemetry_status = WriteTelemetry(*opts);
-  if (!telemetry_status.ok()) {
-    std::fprintf(stderr, "error: %s\n", telemetry_status.ToString().c_str());
-    if (status.ok()) status = telemetry_status;
-  }
-  const int rc = status.ok() ? 0 : 1;
-  // Final snapshot + finalized manifest with the real exit status.
-  telemetry::Publisher::StopGlobal(rc);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   }
-  return rc;
+  return FinishRun(status.ok() ? 0 : 1);
 }
 
 }  // namespace
