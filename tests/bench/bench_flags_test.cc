@@ -54,6 +54,15 @@ TEST(BenchFlagsTest, TelemetryPortIsAnUnknownFlag) {
   EXPECT_NE(err.find("unknown flag"), std::string::npos) << err;
 }
 
+// As on the CLI: probe records live only in a telemetry run dir.
+TEST(BenchFlagsTest, ProbeEveryRequiresTelemetryDir) {
+  std::string err;
+  EXPECT_EQ(RunBench("--probe-every=1", &err), 2);
+  EXPECT_NE(err.find("--probe-every requires --telemetry-dir"),
+            std::string::npos)
+      << err;
+}
+
 TEST(BenchFlagsTest, ScaleMustBeAFiniteNumberInUnitInterval) {
   EXPECT_EQ(RunBench("--scale=nan"), 2);
   EXPECT_EQ(RunBench("--scale=inf"), 2);

@@ -87,6 +87,17 @@ TEST_F(CliFlagsTest, TelemetryPortIsAnUnknownFlag) {
   EXPECT_NE(err.find("unknown flag"), std::string::npos) << err;
 }
 
+// A probe's only record is its journal event, which persists only in a
+// telemetry run dir, so probing without one is a flag error, not a run
+// whose probes vanish.
+TEST_F(CliFlagsTest, ProbeEveryRequiresTelemetryDir) {
+  std::string err;
+  EXPECT_EQ(RunCli("--model=fairgen --probe-every=1", &err), 2);
+  EXPECT_NE(err.find("--probe-every requires --telemetry-dir"),
+            std::string::npos)
+      << err;
+}
+
 TEST_F(CliFlagsTest, TrailingJunkIsAFlagError) {
   std::string err;
   EXPECT_EQ(RunCli("--walks=12x", &err), 2);
