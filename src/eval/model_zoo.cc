@@ -1,6 +1,24 @@
 #include "eval/model_zoo.h"
 
+#include <string>
+
 namespace fairgen {
+
+namespace {
+
+// `name` with every character outside [A-Za-z0-9._-] mapped to '-', so a
+// variant name such as "FairGen-w/o-SPL" names one directory, not two.
+std::string PathSafe(std::string name) {
+  for (char& c : name) {
+    const bool safe = (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
+                      (c >= '0' && c <= '9') || c == '.' || c == '_' ||
+                      c == '-';
+    if (!safe) c = '-';
+  }
+  return name;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<FairGenTrainer>> MakeFairGen(
     const LabeledGraph& data, const ZooConfig& config,
@@ -8,9 +26,11 @@ Result<std::unique_ptr<FairGenTrainer>> MakeFairGen(
   FairGenConfig fg = config.fairgen;
   fg.variant = variant;
   // Fault tolerance: each dataset/variant fit gets its own checkpoint
-  // subdirectory so zoo runs never mix checkpoint files.
+  // subdirectory, directly under the checkpoint dir, so zoo runs never
+  // mix checkpoint files.
   if (!fg.checkpoint.dir.empty()) {
-    fg.checkpoint.dir += "/" + data.name + "-" + FairGenVariantName(variant);
+    fg.checkpoint.dir +=
+        "/" + PathSafe(data.name + "-" + FairGenVariantName(variant));
   }
   auto trainer = std::make_unique<FairGenTrainer>(fg);
   if (data.has_labels()) {

@@ -176,6 +176,7 @@ EdgeScoreAccumulator ScoreCandidatePool(const nn::Tensor& embeddings,
     // ordering, which is all thresholding uses, is unchanged.
     acc.AddEdge(u, v, 1.0 / (1.0 + std::exp(-dot)) + 1e-9);
   }
+  acc.Compact();
   return acc;
 }
 

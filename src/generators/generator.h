@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -49,6 +48,13 @@ class GraphGenerator {
 /// The plain `BuildTopEdges` keeps the m highest-scoring edges — the
 /// assembly used by the unsupervised walk-based baselines (NetGAN,
 /// TagGen). The fairness-aware criteria live in core/assembler.h.
+///
+/// Storage is a flat (key, score) vector, key = u·n + v with u < v.
+/// `AddEdge` appends one observation; `Compact` stable-sorts by key and
+/// sums each key's observations in insertion order, starting from 0.0,
+/// so every score has the bits of a `+=` per observation in the order
+/// they were added. Readers see the compact scores: in place after
+/// `Compact`, otherwise from a compacted copy.
 class EdgeScoreAccumulator {
  public:
   explicit EdgeScoreAccumulator(uint32_t num_nodes);
@@ -60,17 +66,28 @@ class EdgeScoreAccumulator {
   /// Adds `count` to the score of edge {u, v}.
   void AddEdge(NodeId u, NodeId v, double count = 1.0);
 
-  /// Adds every score from `other` (same node count required). Used to
-  /// combine per-thread accumulators after parallel walk sampling.
-  void Merge(const EdgeScoreAccumulator& other);
+  /// Reserves room for `observations` AddEdge calls in all.
+  void Reserve(size_t observations) { entries_.reserve(observations); }
+
+  /// Sorts the observations by key and folds each key's into one score
+  /// (see the class comment). Idempotent.
+  void Compact();
+
+  /// The k-way merge of `runs` (same node count required), which are
+  /// compacted first and freed on return: each key's score is the sum of
+  /// its run scores in run order, starting from 0.0, and the total is
+  /// the sum of the run totals in run order. `AccumulateWalkScores`
+  /// merges its budget chunks with this in chunk order.
+  static EdgeScoreAccumulator MergeRuns(std::vector<EdgeScoreAccumulator> runs);
 
   /// Number of distinct scored edges.
-  size_t num_scored_edges() const { return scores_.size(); }
+  size_t num_scored_edges() const;
 
   /// Total accumulated score.
   double total_score() const { return total_score_; }
 
-  /// Scored edges as (edge, score) pairs in unspecified order.
+  /// Scored edges as (edge, score) pairs, u < v, in ascending key order
+  /// (u, then v).
   std::vector<std::pair<Edge, double>> ScoredEdges() const;
 
   /// Builds a graph from the `target_edges` highest-scoring edges (fewer
@@ -80,18 +97,23 @@ class EdgeScoreAccumulator {
 
   uint32_t num_nodes() const { return num_nodes_; }
 
-  /// Approximate heap bytes of the score table (hash nodes + bucket
-  /// array). Exported as the `generate.accumulator_bytes` gauge after
-  /// walk accumulation.
-  size_t MemoryBytes() const {
-    return scores_.bucket_count() * sizeof(void*) +
-           scores_.size() *
-               (sizeof(std::pair<uint64_t, double>) + sizeof(void*));
-  }
+  /// Heap bytes of the score vector (its capacity). Exported as the
+  /// `generate.accumulator_bytes` gauge after walk accumulation.
+  size_t MemoryBytes() const { return entries_.capacity() * sizeof(Entry); }
 
  private:
+  struct Entry {
+    uint64_t key;  // u * n + v, u < v
+    double score;
+  };
+
+  /// The compact scores: `entries_` itself after `Compact`, otherwise a
+  /// compacted copy written to `*scratch`.
+  const std::vector<Entry>& CompactScores(std::vector<Entry>* scratch) const;
+
   uint32_t num_nodes_;
-  std::unordered_map<uint64_t, double> scores_;  // key = u * n + v, u < v
+  std::vector<Entry> entries_;
+  bool compact_ = true;  // entries_ key-ascending with unique keys
   double total_score_ = 0.0;
 };
 
@@ -106,7 +128,8 @@ using WalkSampler = std::function<Walk(Rng&)>;
 /// The budget is divided over a fixed number of chunks — the per-chunk
 /// remainders distributed exactly, so the total never overshoots the
 /// single-thread budget — each driven by its own RNG stream pre-split from
-/// `rng` and merged in chunk order. Chunk layout, streams, and merge order
+/// `rng`, compacted on its worker and merged in chunk order
+/// (`EdgeScoreAccumulator::MergeRuns`). Chunk layout, streams, and merge order
 /// are all independent of `num_threads`, so the result is bit-identical
 /// for any thread count (0 = process default, 1 = serial).
 ///

@@ -1,6 +1,8 @@
 #include "graph/triangles.h"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "common/parallel.h"
 
@@ -35,20 +37,50 @@ void ForEachCommon(std::span<const NodeId> a, std::span<const NodeId> b,
 }  // namespace
 
 uint64_t CountTriangles(const Graph& graph) {
-  // For each edge (u, v) with u < v, count common neighbors w > v; each
-  // triangle {u, v, w} with u < v < w is counted exactly once. Chunks of
-  // u-rows reduce independently; integer partial sums combine exactly.
+  // Orient each edge from its lower- to its higher-ranked end, ranking
+  // nodes by (degree, id). A triangle's lowest-ranked corner v then sees
+  // the other two, w and x, in its out-list, and x is also in w's: the
+  // triangle is counted once, at v via w, by intersecting out-lists. No
+  // out-list is longer than √(2m), so hubs stop dominating the cost, and
+  // each list stays sorted by id as a filtered copy of a sorted list.
+  const size_t n = graph.num_nodes();
+  auto ranks_below = [&graph](NodeId v, NodeId w) {
+    const uint32_t dv = graph.Degree(v);
+    const uint32_t dw = graph.Degree(w);
+    return dv != dw ? dv < dw : v < w;
+  };
+  std::vector<uint64_t> offsets(n + 1, 0);
+  ParallelFor(size_t{0}, n, kTriangleGrain, [&](size_t i) {
+    const NodeId v = static_cast<NodeId>(i);
+    uint64_t out_degree = 0;
+    for (NodeId w : graph.Neighbors(v)) {
+      if (ranks_below(v, w)) ++out_degree;
+    }
+    offsets[i + 1] = out_degree;
+  });
+  for (size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+  std::vector<NodeId> out(offsets[n]);
+  ParallelFor(size_t{0}, n, kTriangleGrain, [&](size_t i) {
+    const NodeId v = static_cast<NodeId>(i);
+    uint64_t slot = offsets[i];
+    for (NodeId w : graph.Neighbors(v)) {
+      if (ranks_below(v, w)) out[slot++] = w;
+    }
+  });
+  auto out_list = [&](NodeId v) {
+    return std::span<const NodeId>(out.data() + offsets[v],
+                                   out.data() + offsets[v + 1]);
+  };
+  // Chunks of nodes reduce independently; integer partial sums combine
+  // exactly.
   return ParallelReduce(
-      size_t{0}, graph.num_nodes(), kTriangleGrain, uint64_t{0},
-      [&graph](size_t lo, size_t hi, size_t /*chunk*/) {
+      size_t{0}, n, kTriangleGrain, uint64_t{0},
+      [&out_list](size_t lo, size_t hi, size_t /*chunk*/) {
         uint64_t count = 0;
-        for (NodeId u = static_cast<NodeId>(lo); u < hi; ++u) {
-          auto nu = graph.Neighbors(u);
-          for (NodeId v : nu) {
-            if (v <= u) continue;
-            ForEachCommon(nu, graph.Neighbors(v), [&](NodeId w) {
-              if (w > v) ++count;
-            });
+        for (NodeId v = static_cast<NodeId>(lo); v < hi; ++v) {
+          const std::span<const NodeId> ov = out_list(v);
+          for (NodeId w : ov) {
+            ForEachCommon(ov, out_list(w), [&count](NodeId) { ++count; });
           }
         }
         return count;

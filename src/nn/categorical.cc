@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "nn/kernels/kernels.h"
+#include "nn/tensor.h"
 
 namespace fairgen::nn {
 
@@ -41,7 +42,8 @@ uint32_t PickCategorical(const float* weights, const double* block_sums,
 uint32_t SampleLogitsRow(const float* logits, size_t n, float temperature,
                          Rng& rng) {
   FAIRGEN_CHECK(n > 0);
-  static thread_local std::vector<float> weights;
+  // 64-byte aligned, like the logits rows the decoders pass in.
+  static thread_local FloatBuffer weights;
   static thread_local std::vector<double> block_sums;
   weights.resize(n);
   block_sums.resize(kernels::DrawBlocks(n));

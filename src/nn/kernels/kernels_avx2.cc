@@ -28,6 +28,12 @@
 
 #include "nn/kernels/exp_poly.h"
 
+// The kernels keep external linkage, so the profiler's dladdr (the build
+// exports executable symbols) names the table entries and the
+// out-of-line MatMul4Rows in profile_top.json instead of printing bare
+// addresses. Only the inline helpers sit in anonymous namespaces: an
+// inline function with external linkage could have this TU's AVX2 copy
+// picked by the linker for another TU (see exp_poly.h).
 namespace fairgen::nn::kernels::internal {
 namespace {
 
@@ -71,10 +77,36 @@ inline void MatMulRowTail(const float* a, size_t ps, const float* b,
   }
 }
 
-// One output row: c[0, n) = Σ_p a(p) · B[p, :].
+// One output row: c[0, n) = Σ_p a(p) · B[p, :]. The 32-column block
+// keeps four independent add chains in flight, which is what hides the
+// add latency of the single-row decode products (the logits row is the
+// largest cost of a decoded token); the 16/8/tail loops finish the row.
 inline void MatMulRow(const float* a, size_t ps, const float* b, float* crow,
                       size_t k, size_t n) {
   size_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    for (size_t p = 0; p < k; ++p) {
+      const float av = a[p * ps];
+      if (av == 0.0f) continue;
+      const __m256 vav = _mm256_set1_ps(av);
+      const float* brow = b + p * n + j;
+      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(vav, _mm256_loadu_ps(brow)));
+      acc1 = _mm256_add_ps(acc1,
+                           _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 8)));
+      acc2 = _mm256_add_ps(acc2,
+                           _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 16)));
+      acc3 = _mm256_add_ps(acc3,
+                           _mm256_mul_ps(vav, _mm256_loadu_ps(brow + 24)));
+    }
+    _mm256_storeu_ps(crow + j, acc0);
+    _mm256_storeu_ps(crow + j + 8, acc1);
+    _mm256_storeu_ps(crow + j + 16, acc2);
+    _mm256_storeu_ps(crow + j + 24, acc3);
+  }
   for (; j + 16 <= n; j += 16) {
     __m256 acc0 = _mm256_setzero_ps();
     __m256 acc1 = _mm256_setzero_ps();
@@ -109,6 +141,8 @@ inline __m256 AccumulateUnlessZero(__m256 acc, float av, __m256 bv) {
   if (av == 0.0f) return acc;
   return _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), bv));
 }
+
+}  // namespace
 
 // Four output rows at once: every B vector loaded at step p feeds four
 // rows' accumulators instead of one, which is what makes the stacked
@@ -179,6 +213,8 @@ inline __m256 AccumulateUnlessZero(__m256 acc, float av, __m256 bv) {
   }
 }
 
+namespace {
+
 // C[m, n] from m rows of multipliers (see the stride rule above): blocks
 // of four rows, then the remainder one row at a time.
 // Inlined into both callers so the constant stride folds into MatMulRow.
@@ -191,6 +227,8 @@ inline __m256 AccumulateUnlessZero(__m256 acc, float av, __m256 bv) {
   }
   for (; i < m; ++i) MatMulRow(a + i * rs, ps, b, c + i * n, k, n);
 }
+
+}  // namespace
 
 void MatMulAvx2(const float* a, const float* b, float* c, size_t m, size_t k,
                 size_t n) {
@@ -224,6 +262,8 @@ void ScaleAvx2(float* a, float alpha, size_t len) {
   for (; i < len; ++i) a[i] *= alpha;
 }
 
+namespace {
+
 // ExpPoly (exp_poly.h) on eight lanes: the same op sequence per lane.
 // _mm256_max_ps(lo, x) returns x when x is NaN, matching MaxLane(lo, x);
 // the ordered x < lo compare is false for NaN, so NaN stays NaN.
@@ -253,6 +293,15 @@ inline __m256 ExpPoly8(__m256 x) {
   return _mm256_andnot_ps(_mm256_cmp_ps(x, lo, _CMP_LT_OQ), out);
 }
 
+// Widens the eight floats of v into two four-double vectors (lanes 0–3
+// and 4–7).
+inline void WidenToDouble(__m256 v, __m256d* lo, __m256d* hi) {
+  *lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+  *hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+}
+
+}  // namespace
+
 // RowMaxScalar's lane maxima, one vector at a time; the tail continues
 // the same lanes before the shared fold.
 float RowMaxAvx2(const float* row, size_t n) {
@@ -265,13 +314,6 @@ float RowMaxAvx2(const float* row, size_t n) {
   _mm256_store_ps(lanes, acc);
   for (; j < n; ++j) lanes[j % kLanes] = MaxLane(lanes[j % kLanes], row[j]);
   return FoldMax(lanes);
-}
-
-// Widens the eight floats of v into two four-double vectors (lanes 0–3
-// and 4–7).
-inline void WidenToDouble(__m256 v, __m256d* lo, __m256d* hi) {
-  *lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-  *hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
 }
 
 double SoftmaxNllForwardAvx2(const float* logits, size_t rows, size_t cols,
@@ -329,6 +371,9 @@ double CategoricalWeightsAvx2(const float* logits, size_t n,
   const float max_v = RowMaxAvx2(logits, n);
   const __m256 vmax = _mm256_set1_ps(max_v);
   const __m256 vtemp = _mm256_set1_ps(temperature);
+  // x / 1.0f is exact for every float (NaN and ±inf included), so the
+  // default temperature skips the divide and keeps the scalar bits.
+  const bool unit_temperature = temperature == 1.0f;
   double total = 0.0;
   for (size_t b0 = 0; b0 < n; b0 += kDrawBlock) {
     const size_t b1 = std::min(n, b0 + kDrawBlock);
@@ -336,8 +381,9 @@ double CategoricalWeightsAvx2(const float* logits, size_t n,
     __m256d sum_hi = _mm256_setzero_pd();
     size_t j = b0;
     for (; j + kLanes <= b1; j += kLanes) {
-      const __m256 e = ExpPoly8(_mm256_div_ps(
-          _mm256_sub_ps(_mm256_loadu_ps(logits + j), vmax), vtemp));
+      const __m256 shifted = _mm256_sub_ps(_mm256_loadu_ps(logits + j), vmax);
+      const __m256 e = ExpPoly8(
+          unit_temperature ? shifted : _mm256_div_ps(shifted, vtemp));
       _mm256_storeu_ps(weights + j, e);
       __m256d e_lo, e_hi;
       WidenToDouble(e, &e_lo, &e_hi);
@@ -358,6 +404,8 @@ double CategoricalWeightsAvx2(const float* logits, size_t n,
   return total;
 }
 
+namespace {
+
 // GeluOnePlusTanh (exp_poly.h) on eight lanes. |z| clears the sign bit
 // as std::fabs does; the ordered z < 0 compare is false for NaN, which
 // keeps the NaN of s, as the scalar select does.
@@ -374,6 +422,8 @@ inline __m256 GeluOnePlusTanh8(__m256 x) {
       s, _mm256_mul_ps(e, s),
       _mm256_cmp_ps(z, _mm256_setzero_ps(), _CMP_LT_OQ));
 }
+
+}  // namespace
 
 void GeluAvx2(const float* x, size_t n, float* y, float* one_plus_tanh) {
   const __m256 half = _mm256_set1_ps(0.5f);
@@ -447,8 +497,6 @@ void AdamUpdateAvx2(float* value, const float* grad, float* m, float* v,
     value[i] -= p.lr * (update + p.weight_decay * value[i]);
   }
 }
-
-}  // namespace
 
 const KernelTable& Avx2Table() {
   static const KernelTable table = {

@@ -241,7 +241,8 @@ TransformerDecoder::TransformerDecoder(const TransformerLM& lm)
     : lm_(&lm),
       dim_(lm.config_.dim),
       head_dim_(lm.config_.dim / lm.config_.num_heads),
-      layers_(lm.config_.num_layers) {
+      layers_(lm.config_.num_layers),
+      vocab_stride_((lm.config_.vocab_size + 15) / 16 * 16) {
   const TransformerConfig& cfg = lm.config_;
   for (LayerCache& layer : layers_) {
     layer.heads.resize(cfg.num_heads);
@@ -252,11 +253,13 @@ TransformerDecoder::TransformerDecoder(const TransformerLM& lm)
   }
   // Transpose the tied embedding table once (same element moves as
   // MatMulTransB's internal transpose, hoisted out of the step loop).
+  // Each logit column is computed on its own, so the zero padding
+  // columns change no bits of the vocab columns.
   const float* table = lm.tok_.table()->value.data();
-  tok_t_.resize(dim_ * cfg.vocab_size);
+  tok_t_.assign(dim_ * vocab_stride_, 0.0f);
   for (size_t j = 0; j < cfg.vocab_size; ++j) {
     for (size_t p = 0; p < dim_; ++p) {
-      tok_t_[p * cfg.vocab_size + j] = table[j * dim_ + p];
+      tok_t_[p * vocab_stride_ + j] = table[j * dim_ + p];
     }
   }
   x_.resize(dim_);
@@ -267,7 +270,7 @@ TransformerDecoder::TransformerDecoder(const TransformerLM& lm)
   concat_.resize(dim_);
   sub_.resize(std::max(dim_, cfg.ffn_dim));
   gelu_tanh_.resize(cfg.ffn_dim);
-  logits_.resize(cfg.vocab_size);
+  logits_.resize(vocab_stride_);
 }
 
 std::vector<uint32_t> TransformerDecoder::SampleWalk(uint32_t start,
@@ -286,14 +289,13 @@ std::vector<uint32_t> TransformerDecoder::SampleWalk(uint32_t start,
   Reset();
   uint32_t cur = start;
   while (walk.size() < length) {
-    const std::vector<float>& logits = Step(cur);
-    cur = SampleLogitsRow(logits.data(), vocab, temperature, rng);
+    cur = SampleLogitsRow(Step(cur).data(), vocab, temperature, rng);
     walk.push_back(cur);
   }
   return walk;
 }
 
-const std::vector<float>& TransformerDecoder::Step(uint32_t token) {
+std::span<const float> TransformerDecoder::Step(uint32_t token) {
   const TransformerConfig& cfg = lm_->config_;
   FAIRGEN_CHECK(token < cfg.vocab_size);
   FAIRGEN_CHECK(length_ < cfg.max_len)
@@ -362,9 +364,9 @@ const std::vector<float>& TransformerDecoder::Step(uint32_t token) {
   NormRow(x_.data(), lm_->final_ln_.gain()->value.row(0),
           lm_->final_ln_.bias()->value.row(0), dim_, norm_.data());
   kernels::MatMul(norm_.data(), tok_t_.data(), logits_.data(), 1, dim_,
-                  cfg.vocab_size);
+                  vocab_stride_);
   ++length_;
-  return logits_;
+  return {logits_.data(), cfg.vocab_size};
 }
 
 }  // namespace fairgen::nn

@@ -8,6 +8,7 @@
 
 #include "nn/layers.h"
 #include "nn/loss.h"
+#include "nn/tensor.h"
 #include "rng/rng.h"
 
 namespace fairgen::nn {
@@ -187,9 +188,10 @@ class TransformerDecoder {
   void Reset() { length_ = 0; }
 
   /// Consumes `token` as prefix position length() and returns the [vocab]
-  /// logits row for the following position. Checks token < vocab_size and
+  /// logits row for the following position (exactly vocab_size entries;
+  /// valid until the next Step). Checks token < vocab_size and
   /// length() < max_len.
-  const std::vector<float>& Step(uint32_t token);
+  std::span<const float> Step(uint32_t token);
 
   /// Number of tokens consumed since construction / Reset().
   size_t length() const { return length_; }
@@ -220,10 +222,15 @@ class TransformerDecoder {
   size_t head_dim_;
   size_t length_ = 0;
   std::vector<LayerCache> layers_;
-  /// Embedding table transposed once at construction ([dim, vocab]): the
-  /// weights are frozen while decoding, so the tied output projection is
-  /// a plain matmul against this instead of a transpose per step.
-  std::vector<float> tok_t_;
+  /// Embedding table transposed once at construction ([dim, vocab_stride_]):
+  /// the weights are frozen while decoding, so the tied output projection
+  /// is a plain matmul against this instead of a transpose per step. The
+  /// stride rounds vocab up to 16 floats and the padding columns are
+  /// zero, so every row starts on a 64-byte line at any vocab size: the
+  /// logits row is the largest cost of a token, and at 16 bytes off a
+  /// line half of its 32-byte loads straddle two lines.
+  size_t vocab_stride_;
+  FloatBuffer tok_t_;
 
   // Scratch rows, sized once at construction.
   std::vector<float> x_;        // [dim] residual stream
@@ -234,7 +241,7 @@ class TransformerDecoder {
   std::vector<float> concat_;   // [dim] concatenated head outputs
   std::vector<float> sub_;      // [max(dim, ffn_dim)] sublayer output
   std::vector<float> gelu_tanh_;  // [ffn_dim] kernels::Gelu's 1 + tanh
-  std::vector<float> logits_;   // [vocab]
+  FloatBuffer logits_;          // [vocab_stride_], padding columns 0
 };
 
 }  // namespace fairgen::nn

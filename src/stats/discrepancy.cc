@@ -7,7 +7,7 @@
 namespace fairgen {
 
 double MetricDiscrepancy(double original, double generated) {
-  if (original == 0.0) return std::abs(generated);
+  if (original == 0.0) return generated == 0.0 ? 0.0 : 1.0;
   return std::abs((original - generated) / original);
 }
 

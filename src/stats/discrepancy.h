@@ -11,8 +11,10 @@
 namespace fairgen {
 
 /// \brief Relative discrepancy |f(G) − f(G̃)| / |f(G)| of a single metric
-/// (Eq. 15). When f(G) == 0, returns |f(G̃)| so that a perfect match is 0
-/// and mismatches remain finite.
+/// (Eq. 15). When f(G) == 0 the ratio has no denominator: a match scores
+/// 0 and any other f(G̃) scores 1, the relative error of losing a metric
+/// entirely, so one zero-valued metric of the input cannot swamp the
+/// six-metric mean (a triangle count of 43 would otherwise read 43).
 double MetricDiscrepancy(double original, double generated);
 
 /// \brief Overall discrepancy R(G, G̃, f_m) across the six Table-II

@@ -1,5 +1,9 @@
 // Dedicated tests for the zoo factory's supervision wiring.
 
+#include <filesystem>
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "eval/model_zoo.h"
@@ -28,6 +32,28 @@ LabeledGraph Labeled(uint64_t seed) {
   auto data = GenerateSynthetic(cfg, rng);
   EXPECT_TRUE(data.ok());
   return data.MoveValueUnsafe();
+}
+
+// Every variant's checkpoints go to one directory directly under the
+// checkpoint dir, even when the variant name holds a slash.
+TEST(MakeFairGenTest, VariantCheckpointDirsAreSiblings) {
+  LabeledGraph data = Labeled(1);
+  ZooConfig zoo = TinyZoo();
+  zoo.fairgen.checkpoint.dir = "ck";
+  std::set<std::string> dirs;
+  for (FairGenVariant variant :
+       {FairGenVariant::kFull, FairGenVariant::kRandom,
+        FairGenVariant::kNoSelfPaced, FairGenVariant::kNoParity}) {
+    auto trainer = MakeFairGen(data, zoo, variant, 1);
+    ASSERT_TRUE(trainer.ok());
+    const std::string dir = (*trainer)->config().checkpoint.dir;
+    const std::filesystem::path path(dir);
+    EXPECT_EQ(path.parent_path(), "ck") << dir;
+    EXPECT_EQ(dir.find('/', 3), std::string::npos) << dir;
+    dirs.insert(dir);
+  }
+  EXPECT_EQ(dirs.size(), 4u);
+  EXPECT_EQ(dirs.count("ck/" + data.name + "-FairGen-w-o-SPL"), 1u);
 }
 
 TEST(MakeFairGenTest, WiresFewShotSupervision) {

@@ -1,6 +1,9 @@
-// Tests for the accumulator merge and the multi-threaded generation path.
+// Tests for the accumulator run merge and the multi-threaded generation
+// path.
 
 #include <atomic>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,32 +20,27 @@ TEST(AccumulatorMergeTest, SumsScores) {
   EdgeScoreAccumulator b(4);
   b.AddEdge(0, 1, 3.0);
   b.AddEdge(2, 3, 5.0);
-  a.Merge(b);
-  EXPECT_EQ(a.num_scored_edges(), 3u);
-  EXPECT_NEAR(a.total_score(), 11.0, 1e-12);
-  for (const auto& [edge, score] : a.ScoredEdges()) {
-    if (edge.u == 0 && edge.v == 1) {
-      EXPECT_NEAR(score, 5.0, 1e-12);
-    }
-    if (edge.u == 2 && edge.v == 3) {
-      EXPECT_NEAR(score, 5.0, 1e-12);
-    }
-  }
+  const EdgeScoreAccumulator merged = EdgeScoreAccumulator::MergeRuns({a, b});
+  EXPECT_EQ(merged.num_scored_edges(), 3u);
+  EXPECT_NEAR(merged.total_score(), 11.0, 1e-12);
+  const std::vector<std::pair<Edge, double>> expected{
+      {{0, 1}, 5.0}, {{1, 2}, 1.0}, {{2, 3}, 5.0}};
+  EXPECT_EQ(merged.ScoredEdges(), expected);
 }
 
 TEST(AccumulatorMergeTest, MergeEmptyIsNoOp) {
   EdgeScoreAccumulator a(3);
   a.AddEdge(0, 1);
   EdgeScoreAccumulator b(3);
-  a.Merge(b);
-  EXPECT_EQ(a.num_scored_edges(), 1u);
-  EXPECT_NEAR(a.total_score(), 1.0, 1e-12);
+  const EdgeScoreAccumulator merged = EdgeScoreAccumulator::MergeRuns({a, b});
+  EXPECT_EQ(merged.num_scored_edges(), 1u);
+  EXPECT_NEAR(merged.total_score(), 1.0, 1e-12);
 }
 
 TEST(AccumulatorMergeDeathTest, NodeCountMismatch) {
   EdgeScoreAccumulator a(3);
   EdgeScoreAccumulator b(4);
-  EXPECT_DEATH(a.Merge(b), "");
+  EXPECT_DEATH(EdgeScoreAccumulator::MergeRuns({a, b}), "");
 }
 
 TEST(AccumulateWalkScoresTest, SingleNodeWalksStillTerminate) {
@@ -86,6 +84,41 @@ TEST(AccumulateWalkScoresTest, BudgetIsHonoredExactlyAcrossThreadCounts) {
           });
       EXPECT_NEAR(acc.total_score(), static_cast<double>(target), 1e-9)
           << "target " << target << ", " << threads << " threads";
+    }
+  }
+}
+
+// The merged runs: key-ascending scores and one total, with the same
+// bits and order at every thread count. Walks of 1 to 9 nodes with
+// repeats, so keys recur within and across chunks and the last walk of
+// a chunk overshoots its budget.
+TEST(AccumulateWalkScoresTest, KeyAscendingAndIdenticalAcrossThreadCounts) {
+  const uint32_t n = 40;
+  std::vector<std::pair<Edge, double>> reference;
+  double reference_total = 0.0;
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    Rng rng(21);
+    const EdgeScoreAccumulator acc = AccumulateWalkScores(
+        n, /*target_transitions=*/5000, threads, rng, [](Rng& walk_rng) {
+          Walk walk{static_cast<NodeId>(walk_rng.UniformU32(n))};
+          const uint32_t length = 1 + walk_rng.UniformU32(9);
+          while (walk.size() < length) {
+            walk.push_back(static_cast<NodeId>(walk_rng.UniformU32(n)));
+          }
+          return walk;
+        });
+    const std::vector<std::pair<Edge, double>> scored = acc.ScoredEdges();
+    ASSERT_FALSE(scored.empty());
+    for (size_t i = 1; i < scored.size(); ++i) {
+      const auto& [a, b] = std::pair(scored[i - 1].first, scored[i].first);
+      EXPECT_TRUE(a.u < b.u || (a.u == b.u && a.v < b.v)) << "index " << i;
+    }
+    if (threads == 1) {
+      reference = scored;
+      reference_total = acc.total_score();
+    } else {
+      EXPECT_EQ(scored, reference) << threads << " threads";
+      EXPECT_EQ(acc.total_score(), reference_total) << threads << " threads";
     }
   }
 }

@@ -1,6 +1,11 @@
 #include "graph/triangles.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/parallel.h"
 
 #include "generators/er.h"
 #include "rng/rng.h"
@@ -78,6 +83,47 @@ TEST_P(TriangleRandomTest, MatchesBruteForceOnRandomGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TriangleRandomTest,
                          testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// Runs CountTriangles at 1, 2 and 4 threads and checks each count
+// against the brute-force reference.
+void ExpectCountMatchesBruteAtThreadCounts(const Graph& g,
+                                           const std::string& what) {
+  const uint64_t expected = TrianglesBrute(g);
+  const uint32_t saved = DefaultNumThreads();
+  for (uint32_t threads : {1u, 2u, 4u}) {
+    SetDefaultNumThreads(threads);
+    EXPECT_EQ(CountTriangles(g), expected)
+        << what << " at " << threads << " threads";
+  }
+  SetDefaultNumThreads(saved);
+}
+
+// Graphs of more than one 256-node chunk: ER at three densities, and a
+// hub adjacent to every node plus a 20-clique, where (degree, id) ranks
+// orient most edges away from the hub and the clique's ties break by id.
+TEST(TrianglesTest, OrientedCountMatchesBruteForceAcrossThreads) {
+  Rng rng(31);
+  for (uint64_t edges : {300ull, 2000ull, 15000ull}) {
+    auto g = SampleErdosRenyi(600, edges, rng);
+    ASSERT_TRUE(g.ok());
+    ExpectCountMatchesBruteAtThreadCounts(*g,
+                                          "ER m=" + std::to_string(edges));
+  }
+  std::vector<Edge> hub_clique;
+  for (NodeId v = 1; v < 600; ++v) hub_clique.push_back({0, v});
+  for (NodeId u = 300; u < 320; ++u) {
+    for (NodeId v = u + 1; v < 320; ++v) hub_clique.push_back({u, v});
+  }
+  for (NodeId v = 1; v + 1 < 600; v += 7) hub_clique.push_back({v, v + 1});
+  auto hub = Graph::FromEdges(600, hub_clique);
+  ASSERT_TRUE(hub.ok());
+  ExpectCountMatchesBruteAtThreadCounts(*hub, "hub plus clique");
+  ExpectCountMatchesBruteAtThreadCounts(Graph::Empty(0), "no nodes");
+  ExpectCountMatchesBruteAtThreadCounts(Graph::Empty(700), "no edges");
+  auto single = Graph::FromEdges(2, {{1, 0}});
+  ASSERT_TRUE(single.ok());
+  ExpectCountMatchesBruteAtThreadCounts(*single, "single edge");
+}
 
 TEST(PerNodeTrianglesTest, SumsToThreeTimesTriangles) {
   Rng rng(17);

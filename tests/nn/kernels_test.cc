@@ -10,13 +10,19 @@
 #include <bit>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include <dlfcn.h>
 
 #include <gtest/gtest.h>
 
 #include "nn/categorical.h"
 #include "nn/kernels/exp_poly.h"
+#include "nn/tensor.h"
 #include "rng/rng.h"
 
 namespace fairgen::nn::kernels {
@@ -198,6 +204,41 @@ TEST_F(KernelParityTest, MatMulTrainingShapesBitwise) {
                                          s.k, s.m, s.n);
     EXPECT_TRUE(BitwiseEqual(t_scalar, t_avx2))
         << "trans_a m=" << s.k << " k=" << s.m << " n=" << s.n;
+  }
+}
+
+// The single-row product of the KV decoder (four-, two- and one-chain
+// column blocks, then a scalar tail) at every tail shape and at the
+// decode widths (ACM 824, its 16-float padded stride 832, FLICKR 1136),
+// with B starting 0, 16, 32 and 48 bytes past a cache line and A holding
+// ±0 multipliers that both backends must skip.
+TEST_F(KernelParityTest, MatMulSingleRowBitwise) {
+  Rng rng(111);
+  const size_t widths[] = {1,  2,  3,  4,  5,  6,   7,   8,   9,
+                           15, 16, 17, 31, 32, 33,  63,  64,  65,
+                           824, 832, 1136};
+  const size_t k = 32;
+  for (size_t n : widths) {
+    for (size_t offset : {0u, 4u, 8u, 12u}) {
+      FloatBuffer storage(offset + k * n);
+      ASSERT_EQ(reinterpret_cast<uintptr_t>(storage.data()) % 64, 0u);
+      const std::vector<float> values = RandomVector(k * n, rng);
+      std::copy(values.begin(), values.end(), storage.begin() + offset);
+      const float* b = storage.data() + offset;
+      std::vector<float> a = RandomVector(k, rng);
+      for (size_t p = 0; p < k; p += 5) a[p] = (p % 2 == 0) ? 0.0f : -0.0f;
+      std::vector<float> c_scalar(n), c_avx2(n);
+      internal::ScalarTable().matmul(a.data(), b, c_scalar.data(), 1, k, n);
+      internal::Avx2Table().matmul(a.data(), b, c_avx2.data(), 1, k, n);
+      EXPECT_TRUE(BitwiseEqual(c_scalar, c_avx2))
+          << "matmul n=" << n << " offset=" << offset;
+      internal::ScalarTable().matmul_trans_a(a.data(), b, c_scalar.data(), 1,
+                                             k, n);
+      internal::Avx2Table().matmul_trans_a(a.data(), b, c_avx2.data(), 1, k,
+                                           n);
+      EXPECT_TRUE(BitwiseEqual(c_scalar, c_avx2))
+          << "matmul_trans_a n=" << n << " offset=" << offset;
+    }
   }
 }
 
@@ -795,6 +836,42 @@ TEST(KernelDispatchTest, ForcingAvx2DowngradesWhenUnavailable) {
     EXPECT_EQ(ActiveBackend(), Backend::kScalar);
   }
   SetBackendForTesting(prev);
+}
+
+// Profiles symbolize sampled program counters with dladdr; every AVX2
+// table entry must resolve to its own exported symbol, not to a bare
+// address (the build exports executable symbols to the dynamic table).
+TEST(KernelSymbolTest, DladdrNamesEveryAvx2Entry) {
+  if (!internal::Avx2CompiledIn()) {
+    GTEST_SKIP() << "AVX2 kernels not compiled into this build";
+  }
+  const internal::KernelTable& t = internal::Avx2Table();
+  const std::pair<const void*, const char*> entries[] = {
+      {reinterpret_cast<const void*>(t.matmul), "MatMulAvx2"},
+      {reinterpret_cast<const void*>(t.matmul_trans_a), "MatMulTransAAvx2"},
+      {reinterpret_cast<const void*>(t.add), "AddAvx2"},
+      {reinterpret_cast<const void*>(t.add_scaled), "AddScaledAvx2"},
+      {reinterpret_cast<const void*>(t.scale), "ScaleAvx2"},
+      {reinterpret_cast<const void*>(t.softmax_nll_forward),
+       "SoftmaxNllForwardAvx2"},
+      {reinterpret_cast<const void*>(t.softmax_nll_backward),
+       "SoftmaxNllBackwardAvx2"},
+      {reinterpret_cast<const void*>(t.categorical_weights),
+       "CategoricalWeightsAvx2"},
+      {reinterpret_cast<const void*>(t.gelu), "GeluAvx2"},
+      {reinterpret_cast<const void*>(t.adam_update), "AdamUpdateAvx2"},
+  };
+  static_assert(std::size(entries) * sizeof(void*) ==
+                    sizeof(internal::KernelTable),
+                "a new kernel table entry needs a row here");
+  for (const auto& [fn, name] : entries) {
+    Dl_info info{};
+    ASSERT_NE(::dladdr(fn, &info), 0) << name;
+    ASSERT_NE(info.dli_sname, nullptr) << name << " has no symbol";
+    EXPECT_NE(std::string(info.dli_sname).find(name), std::string::npos)
+        << name << " resolved to " << info.dli_sname;
+    EXPECT_EQ(info.dli_saddr, fn) << name;
+  }
 }
 
 }  // namespace

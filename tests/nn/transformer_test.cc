@@ -196,7 +196,7 @@ TEST(TransformerDecoderTest, KvDecoderMatchesNextLogitsBitwise) {
   const std::vector<uint32_t> prefix{3, 1, 7, 2, 0, 11, 5, 5, 9};
   TransformerDecoder decoder(lm);
   for (size_t len = 1; len <= prefix.size(); ++len) {
-    const std::vector<float>& inc = decoder.Step(prefix[len - 1]);
+    const std::span<const float> inc = decoder.Step(prefix[len - 1]);
     EXPECT_EQ(decoder.length(), len);
     std::vector<uint32_t> head(prefix.begin(), prefix.begin() + len);
     Var full = lm.NextLogits(head);
@@ -219,7 +219,7 @@ TEST(TransformerDecoderTest, KvDecoderMatchesNextLogitsAtRaggedFfnWidth) {
   const std::vector<uint32_t> prefix{4, 8, 8, 0, 10, 2};
   TransformerDecoder decoder(lm);
   for (size_t len = 1; len <= prefix.size(); ++len) {
-    const std::vector<float>& inc = decoder.Step(prefix[len - 1]);
+    const std::span<const float> inc = decoder.Step(prefix[len - 1]);
     std::vector<uint32_t> head(prefix.begin(), prefix.begin() + len);
     Var full = lm.NextLogits(head);
     EXPECT_EQ(std::memcmp(inc.data(), full->value.row(0),
@@ -229,15 +229,43 @@ TEST(TransformerDecoderTest, KvDecoderMatchesNextLogitsAtRaggedFfnWidth) {
   }
 }
 
+// The decoder pads its transposed embedding table to a stride of 16
+// floats; at vocab sizes that are not multiples of 16 the logits must
+// still match NextLogits bit for bit, and Step must return exactly
+// vocab entries (not the padded stride).
+TEST(TransformerDecoderTest, KvDecoderMatchesNextLogitsAtUnpaddedVocab) {
+  for (size_t vocab : {size_t{37}, size_t{824}}) {
+    Rng rng(29 + vocab);
+    TransformerConfig cfg = SmallConfig();
+    cfg.vocab_size = vocab;
+    cfg.num_layers = 2;
+    TransformerLM lm(cfg, rng);
+    const auto last = static_cast<uint32_t>(vocab - 1);
+    const std::vector<uint32_t> prefix{0, last, 5, last / 2, 5};
+    TransformerDecoder decoder(lm);
+    for (size_t len = 1; len <= prefix.size(); ++len) {
+      const std::span<const float> inc = decoder.Step(prefix[len - 1]);
+      ASSERT_EQ(inc.size(), vocab);
+      std::vector<uint32_t> head(prefix.begin(), prefix.begin() + len);
+      Var full = lm.NextLogits(head);
+      EXPECT_EQ(std::memcmp(inc.data(), full->value.row(0),
+                            vocab * sizeof(float)),
+                0)
+          << "vocab " << vocab << ", prefix length " << len;
+    }
+  }
+}
+
 TEST(TransformerDecoderTest, ResetStartsAFreshSequence) {
   Rng rng(14);
   TransformerLM lm(SmallConfig(), rng);
   TransformerDecoder decoder(lm);
-  std::vector<float> first = decoder.Step(4);
+  const std::span<const float> step = decoder.Step(4);
+  const std::vector<float> first(step.begin(), step.end());
   decoder.Step(9);
   decoder.Reset();
   EXPECT_EQ(decoder.length(), 0u);
-  const std::vector<float>& again = decoder.Step(4);
+  const std::span<const float> again = decoder.Step(4);
   EXPECT_EQ(std::memcmp(first.data(), again.data(),
                         first.size() * sizeof(float)),
             0);

@@ -1,5 +1,7 @@
 #include "stats/discrepancy.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
@@ -19,9 +21,39 @@ TEST(MetricDiscrepancyTest, NegativeOriginalUsesAbsoluteValue) {
   EXPECT_NEAR(MetricDiscrepancy(-2.0, -1.0), 0.5, 1e-12);
 }
 
-TEST(MetricDiscrepancyTest, ZeroOriginalFallsBackToAbsolute) {
+// f(G) = 0: 0 on a match, 1 on any other value, whatever its size.
+TEST(MetricDiscrepancyTest, ZeroOriginalIsZeroOrOne) {
   EXPECT_EQ(MetricDiscrepancy(0.0, 0.0), 0.0);
-  EXPECT_EQ(MetricDiscrepancy(0.0, 3.0), 3.0);
+  EXPECT_EQ(MetricDiscrepancy(0.0, -0.0), 0.0);
+  EXPECT_EQ(MetricDiscrepancy(-0.0, 0.0), 0.0);
+  EXPECT_EQ(MetricDiscrepancy(0.0, 3.0), 1.0);
+  EXPECT_EQ(MetricDiscrepancy(0.0, -2.5), 1.0);
+  EXPECT_EQ(MetricDiscrepancy(0.0, 1e-300), 1.0);
+  EXPECT_EQ(MetricDiscrepancy(0.0, 43.0), 1.0);
+  // A nonzero f(G) keeps the relative error, bit for bit.
+  EXPECT_EQ(MetricDiscrepancy(4.0, 1.0), 0.75);
+  EXPECT_EQ(MetricDiscrepancy(0.5, 43.0), 85.0);
+}
+
+// A triangle-free input against a release with triangles: the
+// TriangleCount term of R is 1, not the release's triangle count.
+TEST(OverallDiscrepancyTest, TriangleFreeInputScoresTriangleTermAsOne) {
+  // A 6-cycle, and the same cycle with the chords {0,2} and {3,5}.
+  auto cycle = Graph::FromEdges(
+      6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}});
+  auto chorded = Graph::FromEdges(
+      6, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 2}, {3, 5}});
+  ASSERT_TRUE(cycle.ok());
+  ASSERT_TRUE(chorded.ok());
+  auto disc = OverallDiscrepancy(*cycle, *chorded);
+  ASSERT_TRUE(disc.ok());
+  const size_t triangles = static_cast<size_t>(
+      std::find(MetricNames().begin(), MetricNames().end(), "TriangleCount") -
+      MetricNames().begin());
+  ASSERT_LT(triangles, kNumGraphMetrics);
+  EXPECT_EQ((*disc)[triangles], 1.0);
+  // The other terms keep the relative error, e.g. average degree 2 → 8/3.
+  EXPECT_EQ((*disc)[0], MetricDiscrepancy(2.0, 16.0 / 6.0));
 }
 
 TEST(OverallDiscrepancyTest, IdenticalGraphsGiveZero) {
