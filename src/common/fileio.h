@@ -10,13 +10,13 @@ namespace fairgen {
 
 /// \brief Writes `bytes` to `path` atomically and durably: the bytes go
 /// to `<path>.tmp` first, are fsync(2)ed, and the temp file is
-/// `rename(2)`d over `path`. A concurrent reader (tail, scrape
-/// collector, a resume after SIGKILL) never observes a torn file, and a
+/// `rename(2)`d over `path`. A concurrent reader (tail, a report,
+/// a resume after SIGKILL) never observes a torn file, and a
 /// failed write never leaves a partial file at the final path — at worst
 /// a stale `<path>.tmp`, which the next successful write replaces.
 ///
-/// This is the write contract shared by the telemetry snapshots
-/// (snapshot.json / metrics.prom) and the training checkpoints.
+/// This is the write contract shared by the telemetry run files
+/// (run.json / snapshot.json) and the training checkpoints.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 
 /// \brief The write behind WriteFileAtomic, restricted to

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -299,24 +298,6 @@ std::string MetricsRegistry::ToJson() const {
   }
   out += "}\n";
   return out;
-}
-
-namespace {
-
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::ofstream file(path);
-  if (!file.is_open()) {
-    return Status::IOError("cannot open for writing: " + path);
-  }
-  file << text;
-  if (!file.good()) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-}  // namespace
-
-Status MetricsRegistry::WriteJson(const std::string& path) const {
-  return WriteTextFile(path, ToJson());
 }
 
 void MetricsRegistry::ResetValues() {

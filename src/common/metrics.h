@@ -112,8 +112,7 @@ class Histogram {
   /// of the first bucket is clamped to 0 for positive bounds, and any
   /// quantile landing in the overflow bucket reports the largest finite
   /// bound). 0 when nothing has been observed or `q` is NaN; `q` outside
-  /// [0, 1] is clamped. Exported as the
-  /// p50/p95/p99 snapshot fields and the Prometheus `_quantile` family so
+  /// [0, 1] is clamped. Exported as the p50/p95/p99 snapshot fields so
   /// latency tails are visible without opening a trace.
   double Quantile(double q) const;
 
@@ -199,10 +198,9 @@ class MetricsRegistry {
   SeriesSnapshot() const;
 
   /// JSON document: {"counters": {...}, "gauges": {...},
-  /// "histograms": {...}, "series": {...}} with name-sorted keys.
+  /// "histograms": {...}, "series": {...}} with name-sorted keys — the
+  /// `metrics` object of the telemetry snapshot.json.
   std::string ToJson() const;
-
-  Status WriteJson(const std::string& path) const;
 
   /// Zeroes every metric's value, keeping all registrations (and every
   /// reference handed out) valid.

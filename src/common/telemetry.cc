@@ -28,29 +28,6 @@
 namespace fairgen {
 namespace telemetry {
 
-namespace {
-
-// %.17g round-trips every finite double through text exactly.
-std::string FormatValue(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return std::string(buf);
-}
-
-// Maps a dotted metric name onto the Prometheus name charset
-// [a-zA-Z0-9_:] and prefixes the exporter namespace.
-std::string PrometheusName(const std::string& name) {
-  std::string out = "fairgen_";
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string GitRevision() {
   std::FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r");
   if (pipe == nullptr) return "unknown";
@@ -102,89 +79,6 @@ std::vector<std::string> RunDirs(const std::string& path) {
   ::closedir(dir);
   std::sort(runs.begin(), runs.end());
   return runs;
-}
-
-std::string PrometheusText() {
-  std::string out;
-  out.reserve(4096);
-
-  // Process memory, read directly from the probes at the moment of the
-  // call. This is the one home of live memory: the registry holds no
-  // memory gauge, and memprobe::Sample only journals stage readings.
-  struct {
-    const char* name;
-    double value;
-  } process[] = {
-      {"fairgen_process_rss_bytes",
-       static_cast<double>(memprobe::CurrentRssBytes())},
-      {"fairgen_process_peak_rss_bytes",
-       static_cast<double>(memprobe::PeakRssBytes())},
-      {"fairgen_nn_bytes_live",
-       static_cast<double>(memprobe::NnBytes().live())},
-      {"fairgen_nn_bytes_peak",
-       static_cast<double>(memprobe::NnBytes().peak())},
-      {"fairgen_transition_bytes_live",
-       static_cast<double>(memprobe::TransitionBytes().live())},
-      {"fairgen_transition_bytes_peak",
-       static_cast<double>(memprobe::TransitionBytes().peak())},
-  };
-  for (const auto& p : process) {
-    out += std::string("# TYPE ") + p.name + " gauge\n";
-    out += std::string(p.name) + " " + FormatValue(p.value) + "\n";
-  }
-
-  const metrics::MetricsRegistry& registry =
-      metrics::MetricsRegistry::Global();
-  const std::vector<metrics::MetricSnapshot> snaps = registry.Snapshot();
-
-  for (const metrics::MetricSnapshot& snap : snaps) {
-    const std::string name = PrometheusName(snap.name);
-    if (snap.type == "counter" || snap.type == "gauge") {
-      out += "# TYPE " + name + " " + snap.type + "\n";
-      out += name + " " + FormatValue(snap.fields[0].second) + "\n";
-    } else if (snap.type == "histogram") {
-      // fields: le_<bound>..., le_inf, sum, count, p50, p95, p99 — emit
-      // the histogram family with *cumulative* bucket counts, then the
-      // quantile estimates as their own gauge family (a family cannot mix
-      // histogram and summary samples).
-      out += "# TYPE " + name + " histogram\n";
-      double cumulative = 0.0;
-      double sum = 0.0, count = 0.0, p50 = 0.0, p95 = 0.0, p99 = 0.0;
-      for (const auto& [field, value] : snap.fields) {
-        if (StrStartsWith(field, "le_")) {
-          cumulative += value;
-          const std::string le =
-              field == "le_inf" ? "+Inf" : field.substr(3);
-          out += name + "_bucket{le=\"" + le + "\"} " +
-                 FormatValue(cumulative) + "\n";
-        } else if (field == "sum") {
-          sum = value;
-        } else if (field == "count") {
-          count = value;
-        } else if (field == "p50") {
-          p50 = value;
-        } else if (field == "p95") {
-          p95 = value;
-        } else if (field == "p99") {
-          p99 = value;
-        }
-      }
-      out += name + "_sum " + FormatValue(sum) + "\n";
-      out += name + "_count " + FormatValue(count) + "\n";
-      out += "# TYPE " + name + "_quantile gauge\n";
-      out += name + "_quantile{quantile=\"0.5\"} " + FormatValue(p50) + "\n";
-      out += name + "_quantile{quantile=\"0.95\"} " + FormatValue(p95) + "\n";
-      out += name + "_quantile{quantile=\"0.99\"} " + FormatValue(p99) + "\n";
-    } else if (snap.type == "series") {
-      // A scrape sees the training curve as its latest point; the full
-      // history stays in snapshot.json / the registry export.
-      out += "# TYPE " + name + " gauge\n";
-      const double last =
-          snap.fields.empty() ? 0.0 : snap.fields.back().second;
-      out += name + " " + FormatValue(last) + "\n";
-    }
-  }
-  return out;
 }
 
 std::string SnapshotJson(const std::string& run_id, uint64_t sequence,
@@ -357,7 +251,7 @@ Status Publisher::WriteSnapshotFiles() {
   prof::Profiler& profiler = prof::Profiler::Global();
   if (profiler.running() || profiler.samples() > 0) {
     // Drain also refreshes the prof.* counters/gauges, so the snapshot
-    // and Prometheus exports below see up-to-date sample totals.
+    // below sees up-to-date sample totals.
     profiler.Drain();
     Status prof_status = profiler.WriteArtifacts(run_dir_);
     if (!prof_status.ok()) {
@@ -368,8 +262,6 @@ Status Publisher::WriteSnapshotFiles() {
   FAIRGEN_RETURN_NOT_OK(WriteFileAtomic(
       run_dir_ + "/snapshot.json", SnapshotJson(run_id_, seq,
                                                 start_unix_ms_)));
-  FAIRGEN_RETURN_NOT_OK(
-      WriteFileAtomic(run_dir_ + "/metrics.prom", PrometheusText()));
   // Drain buffered journal records into the append-only event log. Every
   // tick flushes, so events.jsonl trails the live run by at most two
   // intervals.
@@ -443,7 +335,6 @@ void Publisher::CrashFlush(int exit_status, bool from_signal_handler) {
   const uint64_t seq = sequence_.fetch_add(1, std::memory_order_relaxed);
   WriteFileAtomic(run_dir_ + "/snapshot.json",
                   SnapshotJson(run_id_, seq, start_unix_ms_));
-  WriteFileAtomic(run_dir_ + "/metrics.prom", PrometheusText());
   // The event journal flushes *before* the manifest is finalized, so a
   // consumer that observes `finalized: true` can rely on events.jsonl
   // holding everything buffered up to the crash — including this crash

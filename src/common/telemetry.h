@@ -16,10 +16,11 @@ namespace fairgen {
 namespace telemetry {
 
 /// \brief Live run telemetry: a background publisher that turns the
-/// metrics registry, the memory probes, and the span tracer into artifacts
-/// a human (or a scrape-based monitoring stack) can watch *while* the
-/// process runs, plus a per-run manifest tying those artifacts to the
-/// config/seed/revision that produced them.
+/// metrics registry, the memory probes, the span tracer and the event
+/// journal into a run directory a human (or `fairgen_report`) can watch
+/// *while* the process runs. Each signal has one home there: the registry,
+/// memory and span totals in `snapshot.json`, events in `events.jsonl`,
+/// and provenance (config/seed/revision) in the `run.json` manifest.
 ///
 /// Everything here is observation-only, like the rest of the
 /// observability layer (DESIGN.md §7): the publisher reads metric values
@@ -49,18 +50,6 @@ uint64_t UnixMillis();
 /// otherwise its children that do, sorted (empty when there are none).
 std::vector<std::string> RunDirs(const std::string& path);
 
-/// \brief Prometheus text exposition (format 0.0.4) of the process memory
-/// probes plus every registered metric, at the moment of the call:
-///  - counters/gauges: one sample each, name prefixed `fairgen_` with
-///    dots mapped to underscores;
-///  - histograms: cumulative `_bucket{le="..."}` samples, `_sum`/`_count`,
-///    plus a separate `<name>_quantile{quantile="0.5|0.95|0.99"}` gauge
-///    family with the interpolated estimates (tail latency without
-///    opening a trace);
-///  - series: a gauge holding the most recently appended value.
-/// Contract pinned by tests/golden/prometheus_schema.txt.
-std::string PrometheusText();
-
 /// \brief The snapshot.json document: schema_version, run id, sequence
 /// number, wall-clock stamp, a direct memprobe read (`memory`), the
 /// per-category span aggregate (`spans`, with `spans_dropped`), and the
@@ -74,10 +63,10 @@ std::string SnapshotJson(const std::string& run_id, uint64_t sequence,
 struct PublisherOptions {
   /// Parent directory for run directories; created if absent. The
   /// publisher creates `<dir>/<run_id>/` and writes `run.json`,
-  /// `snapshot.json` and `metrics.prom` inside it.
+  /// `snapshot.json` and `events.jsonl` inside it.
   std::string dir;
 
-  /// Period of the background snapshot (snapshot.json + metrics.prom).
+  /// Period of the background snapshot (snapshot.json + events.jsonl).
   /// 0 disables the periodic thread; snapshots then happen only at
   /// `SnapshotNow`/`Stop`/crash flush.
   uint32_t interval_ms = 1000;
@@ -116,7 +105,7 @@ class Publisher {
   /// `finalized: true`), then joins the thread. Idempotent.
   void Stop(int exit_status);
 
-  /// Takes one snapshot immediately (snapshot.json + metrics.prom).
+  /// Takes one snapshot immediately (snapshot.json + events.jsonl).
   Status SnapshotNow();
 
   /// Crash flush: one last snapshot and a finalized manifest recording
@@ -175,10 +164,9 @@ class Publisher {
 /// telemetry before the process dies: the global `Publisher` (if any)
 /// gets a last snapshot and a finalized manifest with exit status
 /// `128 + sig`, then `extra_flush` runs (the run front end's emergency
-/// checkpoints and `--metrics-out`/`--trace-out` writers,
-/// core/run_options.h), and the default
-/// disposition is restored and the signal re-raised so the exit status
-/// still reports the kill. `extra_flush` may be null. SIGINT/SIGTERM can
+/// checkpoints and `--trace-out` writer, core/run_options.h), and the
+/// default disposition is restored and the signal re-raised so the exit
+/// status still reports the kill. `extra_flush` may be null. SIGINT/SIGTERM can
 /// land on a thread inside malloc or holding a lock the flush needs, so
 /// their handler only writes to a self-pipe: a dedicated flush thread
 /// (started here) runs the flush in normal context while the interrupted

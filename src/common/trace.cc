@@ -235,29 +235,6 @@ Tracer::SummarizeByCategory() const {
   return out;
 }
 
-std::string Tracer::ToJson() const {
-  std::vector<SpanRecord> spans = Snapshot();
-  std::string out = "[";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const SpanRecord& s = spans[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n  {\"name\": \"%s\", \"cat\": \"%s\", "
-                  "\"start_ns\": %llu, "
-                  "\"wall_ns\": %llu, \"cpu_ns\": %llu, \"depth\": %u, "
-                  "\"thread\": %u}",
-                  i > 0 ? "," : "", JsonEscape(s.name).c_str(),
-                  std::string(CategoryName(s.category)).c_str(),
-                  static_cast<unsigned long long>(s.start_ns),
-                  static_cast<unsigned long long>(s.wall_ns),
-                  static_cast<unsigned long long>(s.cpu_ns), s.depth,
-                  s.thread);
-    out += buf;
-  }
-  out += spans.empty() ? "]\n" : "\n]\n";
-  return out;
-}
-
 std::string Tracer::ToChromeTrace() const {
   std::vector<SpanRecord> spans = Snapshot();
   std::string out = "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n";
@@ -304,8 +281,8 @@ std::string Tracer::ToChromeTrace() const {
   }
 
   // Counter events ("ph":"C") from every metrics-registry series with
-  // timestamped points — the training curves (trainer.nll, ...) and the
-  // memprobe RSS samples render as counter tracks under the spans.
+  // timestamped points — the training curves (trainer.nll, ...) render
+  // as counter tracks under the spans.
   for (const auto& [name, points] :
        metrics::MetricsRegistry::Global().SeriesSnapshot()) {
     std::string quoted_name = JsonEscape(name);
@@ -324,35 +301,14 @@ std::string Tracer::ToChromeTrace() const {
   return out;
 }
 
-namespace {
-
-Status WriteTextFile(const std::string& path, const std::string& text) {
+Status Tracer::WriteChromeTrace(const std::string& path) const {
   std::ofstream file(path);
   if (!file.is_open()) {
     return Status::IOError("cannot open for writing: " + path);
   }
-  file << text;
+  file << ToChromeTrace();
   if (!file.good()) return Status::IOError("write failed: " + path);
   return Status::OK();
-}
-
-}  // namespace
-
-Status Tracer::WriteJson(const std::string& path) const {
-  return WriteTextFile(path, ToJson());
-}
-
-Status Tracer::WriteChromeTrace(const std::string& path) const {
-  return WriteTextFile(path, ToChromeTrace());
-}
-
-Status Tracer::WriteAuto(const std::string& path) const {
-  if (StrEndsWith(path, ".perfetto.json") ||
-      StrEndsWith(path, ".chrome.json") ||
-      StrEndsWith(path, ".pftrace.json")) {
-    return WriteChromeTrace(path);
-  }
-  return WriteJson(path);
 }
 
 ScopedSpan::ScopedSpan(std::string_view name, Category category) {

@@ -118,27 +118,18 @@ class Tracer {
   std::vector<std::pair<std::string, CategorySummary>> SummarizeByCategory()
       const;
 
-  /// JSON list of span objects, completion order:
-  /// [{"name": ..., "cat": ..., "start_ns": ..., "wall_ns": ...,
-  ///   "cpu_ns": ..., "depth": ..., "thread": ...}, ...]
-  std::string ToJson() const;
-
   /// Chrome trace-event JSON (the format ui.perfetto.dev and
   /// chrome://tracing load directly): one complete ("ph":"X") event per
   /// span with microsecond `ts`/`dur` plus thread-CPU `tts`/`tdur`, one
   /// thread track per stable thread index, span categories as `cat`, and
   /// one counter track ("ph":"C") per metrics-registry series with
-  /// recorded timestamps — so training curves and memory gauges render
-  /// alongside the span timeline.
+  /// recorded timestamps — so training curves render alongside the span
+  /// timeline.
   std::string ToChromeTrace() const;
 
-  Status WriteJson(const std::string& path) const;
+  /// Writes `ToChromeTrace()` to `path`, whatever its name — the one
+  /// span export behind `--trace-out=`.
   Status WriteChromeTrace(const std::string& path) const;
-
-  /// Writes Chrome trace-event JSON when `path` ends in `.perfetto.json`,
-  /// `.chrome.json` or `.pftrace.json`, the flat span JSON otherwise —
-  /// the dispatch behind `--trace-out=`.
-  Status WriteAuto(const std::string& path) const;
 
  private:
   Tracer();

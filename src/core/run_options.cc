@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/memprobe.h"
-#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/prof.h"
 #include "common/strings.h"
@@ -42,18 +41,13 @@ Status ParseNumber(std::string_view flag, std::string_view text,
 }
 
 // Stops the profiler (so the publisher's last snapshot holds its final
-// samples), takes the `exit` stage sample and writes the --metrics-out
-// and --trace-out files.
+// samples), takes the `exit` stage sample and writes the --trace-out file.
 Status WriteRunOutputs() {
   prof::Profiler::Global().Stop();
   memprobe::Sample("exit");
-  if (!g_run.metrics_out.empty()) {
-    FAIRGEN_RETURN_NOT_OK(
-        metrics::MetricsRegistry::Global().WriteJson(g_run.metrics_out));
-    std::fprintf(stderr, "wrote metrics to %s\n", g_run.metrics_out.c_str());
-  }
   if (!g_run.trace_out.empty()) {
-    FAIRGEN_RETURN_NOT_OK(trace::Tracer::Global().WriteAuto(g_run.trace_out));
+    FAIRGEN_RETURN_NOT_OK(
+        trace::Tracer::Global().WriteChromeTrace(g_run.trace_out));
     std::fprintf(stderr, "wrote %zu trace spans to %s\n",
                  trace::Tracer::Global().size(), g_run.trace_out.c_str());
   }
@@ -70,7 +64,7 @@ void FlushOnSignal() {
   // On SIGABRT this runs inside the signal handler, where the export
   // path (it allocates and takes locks) can deadlock on the aborting
   // thread; only take that risk when there is an output file to save.
-  if (!g_run.metrics_out.empty() || !g_run.trace_out.empty()) {
+  if (!g_run.trace_out.empty()) {
     WriteRunOutputs();
   }
 }
@@ -121,8 +115,7 @@ Status ParseRunFlag(std::string_view arg, RunOptions* opts) {
       opts->log_level = std::string(value);
       return Status::OK();
     }
-    std::string* path = flag == "--metrics-out"      ? &opts->metrics_out
-                        : flag == "--trace-out"      ? &opts->trace_out
+    std::string* path = flag == "--trace-out"        ? &opts->trace_out
                         : flag == "--telemetry-dir"  ? &opts->telemetry_dir
                         : flag == "--checkpoint-dir" ? &opts->checkpoint_dir
                                                      : nullptr;
@@ -141,16 +134,13 @@ const char* RunFlagsHelp() {
          "                           identical for every value\n"
          "  --log-level=<l>          debug|info|warning|error (default: the\n"
          "                           FAIRGEN_LOG_LEVEL env var, else warning)\n"
-         "  --metrics-out=<file>     write the metrics registry as JSON at\n"
-         "                           exit\n"
-         "  --trace-out=<file>       enable tracing, write spans at exit\n"
-         "                           (*.perfetto.json / *.chrome.json: Chrome\n"
-         "                           trace-event format for ui.perfetto.dev;\n"
-         "                           other paths: flat span JSON)\n"
+         "  --trace-out=<file>       enable tracing, write spans at exit as\n"
+         "                           Chrome trace-event JSON (loads in\n"
+         "                           ui.perfetto.dev)\n"
          "  --telemetry-dir=<d>      live telemetry: per-run dir under <d>\n"
          "                           with run.json, periodic snapshot.json\n"
-         "                           and metrics.prom, and events.jsonl\n"
-         "                           (atomic renames)\n"
+         "                           (metrics registry, memory, span totals;\n"
+         "                           atomic renames) and events.jsonl\n"
          "  --telemetry-interval-ms=<n>  snapshot period (default 1000)\n"
          "  --profile-hz=<n>         sampling profiler at <n> Hz (1..10000):\n"
          "                           profile.folded and profile_top.json in\n"
@@ -248,8 +238,7 @@ Status StartRun(const RunOptions& opts, int argc, char** argv) {
   }
   // Crash-safe flush: a SIGTERM/SIGINT/abort mid-run still leaves the
   // emergency checkpoints, a final snapshot, a finalized manifest (exit
-  // status 128+sig) and the --metrics-out/--trace-out files behind,
-  // best-effort.
+  // status 128+sig) and the --trace-out file behind, best-effort.
   telemetry::InstallSignalFlush(&FlushOnSignal);
   return Status::OK();
 }

@@ -16,7 +16,6 @@ struct RunOptions {
   uint64_t seed = 7;                       ///< --seed
   uint32_t threads = 0;                    ///< --threads; 0 = all cores
   std::string log_level;                   ///< --log-level
-  std::string metrics_out;                 ///< --metrics-out
   std::string trace_out;                   ///< --trace-out
   std::string telemetry_dir;               ///< --telemetry-dir
   uint32_t telemetry_interval_ms = 1000;   ///< --telemetry-interval-ms
@@ -47,14 +46,14 @@ const char* RunFlagsHelp();
 /// FAIRGEN_PROF_HZ), and installs the SIGINT/SIGTERM/SIGABRT flush. The
 /// flush writes the emergency checkpoint of every FairGen fit in flight
 /// (see `FairGenTrainer::WriteLiveEmergencyCheckpoints`) and the
-/// --metrics-out/--trace-out files. Call once, before any work.
+/// --trace-out file. Call once, before any work.
 Status StartRun(const RunOptions& opts, int argc, char** argv);
 
 /// Ends a run started by StartRun and returns the process exit status:
 /// `exit_status`, or 1 when it was 0 and an output file could not be
 /// written. Waits out a signal flush already under way, stops the
-/// profiler, takes the `exit` stage sample, writes --metrics-out and
-/// --trace-out, and finalizes the run manifest with the returned status.
+/// profiler, takes the `exit` stage sample, writes --trace-out, and
+/// finalizes the run manifest with the returned status.
 int FinishRun(int exit_status);
 
 }  // namespace fairgen

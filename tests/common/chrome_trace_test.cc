@@ -8,7 +8,6 @@
 // The schema path is injected by tests/CMakeLists.txt as the
 // FAIRGEN_CHROME_TRACE_SCHEMA_PATH compile definition.
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -142,24 +141,6 @@ TEST_F(ChromeTraceTest, ParsesAndCarriesSpanStructure) {
   // time by more than rounding.
   EXPECT_GE(outer->GetDouble("tdur", -1.0), 0.0);
   EXPECT_GE(outer->GetDouble("tts", -1.0), 0.0);
-}
-
-TEST_F(ChromeTraceTest, WriteAutoDispatchesOnSuffix) {
-  RecordSampleTrace();
-  std::string base = testing::TempDir() + "/fairgen_chrome_trace";
-  std::string perfetto_path = base + ".perfetto.json";
-  std::string flat_path = base + ".json";
-  ASSERT_TRUE(Tracer::Global().WriteAuto(perfetto_path).ok());
-  ASSERT_TRUE(Tracer::Global().WriteAuto(flat_path).ok());
-
-  std::string perfetto = ReadFileOrDie(perfetto_path);
-  EXPECT_NE(perfetto.find("\"traceEvents\""), std::string::npos);
-  std::string flat = ReadFileOrDie(flat_path);
-  EXPECT_EQ(flat.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(flat.find("\"chrometest.outer\""), std::string::npos);
-
-  std::remove(perfetto_path.c_str());
-  std::remove(flat_path.c_str());
 }
 
 }  // namespace

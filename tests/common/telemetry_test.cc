@@ -50,8 +50,11 @@ TEST(TelemetryInfoTest, UnixMillisAdvances) {
   EXPECT_GT(a, 1'600'000'000'000ull);  // after Sep 2020: a real clock
 }
 
+// Pid-unique: a second test process sharing the temp directory must not
+// write or remove the same file mid-assert.
 TEST(WriteFileAtomicTest, WritesAndReplacesWithoutTmpResidue) {
-  std::string path = testing::TempDir() + "/fairgen_atomic_test.txt";
+  std::string path = testing::TempDir() + "/fairgen_atomic_test_" +
+                     std::to_string(::getpid()) + ".txt";
   ASSERT_TRUE(WriteFileAtomic(path, "first").ok());
   EXPECT_EQ(ReadWholeFile(path), "first");
   ASSERT_TRUE(WriteFileAtomic(path, "second").ok());
@@ -63,71 +66,6 @@ TEST(WriteFileAtomicTest, WritesAndReplacesWithoutTmpResidue) {
 TEST(WriteFileAtomicTest, FailsOnUnwritableDirectory) {
   EXPECT_FALSE(
       WriteFileAtomic("/nonexistent-dir-xyz/file.txt", "data").ok());
-}
-
-// The exposition must sanitize metric names (dots -> underscores, a
-// `fairgen_` prefix), emit cumulative histogram buckets, `_sum`/`_count`,
-// and a separate `<name>_quantile` gauge family.
-TEST(PrometheusTextTest, ExposesRegistryMetrics) {
-  auto& registry = metrics::MetricsRegistry::Global();
-  registry.GetCounter("telemetry_test.hits").Increment(3);
-  registry.GetGauge("telemetry_test.level").Set(2.5);
-  auto& histogram = registry.GetHistogram("telemetry_test.latency",
-                                          {1.0, 10.0, 100.0});
-  histogram.Observe(0.5);
-  histogram.Observe(5.0);
-  histogram.Observe(50.0);
-  histogram.Observe(5000.0);  // overflow bucket
-  registry.GetSeries("telemetry_test.curve").Append(0, 1.0);
-  registry.GetSeries("telemetry_test.curve").Append(1, 4.0);
-
-  const std::string text = PrometheusText();
-
-  // Process gauges straight from memprobe.
-  EXPECT_NE(text.find("# TYPE fairgen_process_rss_bytes gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("fairgen_process_rss_bytes "), std::string::npos);
-
-  EXPECT_NE(text.find("# TYPE fairgen_telemetry_test_hits counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("fairgen_telemetry_test_hits 3"), std::string::npos);
-  EXPECT_NE(text.find("fairgen_telemetry_test_level 2.5"),
-            std::string::npos);
-
-  // Buckets are cumulative: 1, 2, 3 then +Inf = 4.
-  EXPECT_NE(text.find("# TYPE fairgen_telemetry_test_latency histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("fairgen_telemetry_test_latency_bucket{le=\"1\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("fairgen_telemetry_test_latency_bucket{le=\"10\"} 2"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("fairgen_telemetry_test_latency_bucket{le=\"100\"} 3"),
-      std::string::npos);
-  EXPECT_NE(
-      text.find("fairgen_telemetry_test_latency_bucket{le=\"+Inf\"} 4"),
-      std::string::npos);
-  EXPECT_NE(text.find("fairgen_telemetry_test_latency_count 4"),
-            std::string::npos);
-  EXPECT_NE(text.find("fairgen_telemetry_test_latency_sum "),
-            std::string::npos);
-
-  // Quantiles live in their own gauge family (a family cannot mix
-  // histogram and summary samples).
-  EXPECT_NE(
-      text.find("# TYPE fairgen_telemetry_test_latency_quantile gauge"),
-      std::string::npos);
-  EXPECT_NE(
-      text.find("fairgen_telemetry_test_latency_quantile{quantile=\"0.5\"}"),
-      std::string::npos);
-  EXPECT_NE(text.find(
-                "fairgen_telemetry_test_latency_quantile{quantile=\"0.99\"}"),
-            std::string::npos);
-
-  // Series expose their last value as a gauge.
-  EXPECT_NE(text.find("# TYPE fairgen_telemetry_test_curve gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("fairgen_telemetry_test_curve 4"), std::string::npos);
 }
 
 TEST(SnapshotJsonTest, ParsesAndCarriesCoreFields) {
@@ -158,7 +96,7 @@ class PublisherTest : public ::testing::Test {
   }
 };
 
-TEST_F(PublisherTest, LifecycleWritesManifestSnapshotAndProm) {
+TEST_F(PublisherTest, LifecycleWritesManifestAndSnapshot) {
   PublisherOptions options;
   options.dir = MakeParentDir("lifecycle");
   options.interval_ms = 10;
@@ -174,7 +112,6 @@ TEST_F(PublisherTest, LifecycleWritesManifestSnapshotAndProm) {
   // Snapshot 0 is synchronous with Init.
   EXPECT_TRUE(FileExists(publisher.run_dir() + "/run.json"));
   EXPECT_TRUE(FileExists(publisher.run_dir() + "/snapshot.json"));
-  EXPECT_TRUE(FileExists(publisher.run_dir() + "/metrics.prom"));
 
   // Live manifest: not finalized yet.
   {
@@ -208,6 +145,16 @@ TEST_F(PublisherTest, LifecycleWritesManifestSnapshotAndProm) {
   auto snapshot = json::ParseFile(publisher.run_dir() + "/snapshot.json");
   ASSERT_TRUE(snapshot.ok());
   EXPECT_EQ(snapshot->GetString("run_id", ""), publisher.run_id());
+
+  // One home per signal: the run dir holds the manifest, the snapshot and
+  // the event journal, and no second export of the registry.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(publisher.run_dir())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name == "run.json" || name == "snapshot.json" ||
+                name == "events.jsonl")
+        << "unexpected run-dir file " << name;
+  }
 }
 
 TEST_F(PublisherTest, StopIsIdempotent) {
@@ -424,16 +371,43 @@ TEST_F(PublisherTest, TickFlushesOnlyRecordsItsWatchdogSaw) {
     }
     return n;
   };
+  // Every on-disk and pending journal record, so a failing count names
+  // the record that moved.
+  auto journal_records = [&] {
+    std::string out = "events.jsonl:";
+    auto file = events::ReadJournalFile(path);
+    if (file.ok()) {
+      for (const events::Event& event : file->events) {
+        out += "\n  " + events::ToJsonLine(event);
+      }
+    } else {
+      out += " " + file.status().ToString();
+    }
+    out += "\npending:";
+    for (int type = 0; type < events::kNumTypes; ++type) {
+      events::Journal::Global().VisitPending(
+          static_cast<events::Type>(type), [&](const events::Event& event) {
+            out += "\n  " + events::ToJsonLine(event);
+          });
+    }
+    return out;
+  };
 
   metrics::MetricsRegistry::Global()
       .GetCounter("trainer.nonfinite_batches")
       .Increment();
   ASSERT_TRUE(publisher.SnapshotNow().ok());  // raises loss_non_finite
-  EXPECT_EQ(alerts_on_disk(), 0u);
-  EXPECT_EQ(events::Journal::Global().pending(), 1u);
+  {
+    SCOPED_TRACE(journal_records());
+    EXPECT_EQ(alerts_on_disk(), 0u);
+    EXPECT_EQ(events::Journal::Global().pending(), 1u);
+  }
   publisher.Stop(0);
-  EXPECT_EQ(alerts_on_disk(), 1u);
-  EXPECT_EQ(events::Journal::Global().pending(), 0u);
+  {
+    SCOPED_TRACE(journal_records());
+    EXPECT_EQ(alerts_on_disk(), 1u);
+    EXPECT_EQ(events::Journal::Global().pending(), 0u);
+  }
 
   watchdog::Watchdog::Global().Configure(watchdog::Options{});
   metrics::MetricsRegistry::Global().ResetValues();

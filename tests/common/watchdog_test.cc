@@ -84,8 +84,8 @@ TEST_F(WatchdogTest, NonFiniteLossFiresPerIncrease) {
   EXPECT_EQ(fired[0].value, 3.0);
 }
 
-// An alert's one record is its journal event: no registry metric and so
-// no Prometheus family repeats it.
+// An alert's one record is its journal event: no registry metric, and so
+// no snapshot.json entry, repeats it.
 TEST_F(WatchdogTest, AlertsAreJournaledOnly) {
   registry().GetCounter("trainer.nonfinite_batches").Increment();
   ASSERT_EQ(Tick().size(), 1u);
@@ -101,7 +101,8 @@ TEST_F(WatchdogTest, AlertsAreJournaledOnly) {
   for (const metrics::MetricSnapshot& snap : registry().Snapshot()) {
     EXPECT_NE(snap.name.rfind("alerts", 0), 0u) << snap.name;
   }
-  EXPECT_EQ(telemetry::PrometheusText().find("alerts"), std::string::npos);
+  EXPECT_EQ(telemetry::SnapshotJson("run", 0, 0).find("alerts"),
+            std::string::npos);
 }
 
 TEST_F(WatchdogTest, ExplodingLossLatchesPerEpisodeAndRearms) {

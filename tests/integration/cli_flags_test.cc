@@ -78,9 +78,9 @@ class CliFlagsTest : public testing::Test {
   std::vector<std::string> paths_;
 };
 
-// There is no HTTP endpoint (metrics.prom in the telemetry run dir is the
-// Prometheus export), so a script that still passes --telemetry-port must
-// fail loudly rather than run without it.
+// There is no HTTP endpoint (snapshot.json in the telemetry run dir is the
+// live view), so a script that still passes --telemetry-port must fail
+// loudly rather than run without it.
 TEST_F(CliFlagsTest, TelemetryPortIsAnUnknownFlag) {
   std::string err;
   EXPECT_EQ(RunCli("--telemetry-port=9464", &err), 2);

@@ -111,6 +111,8 @@ const FlagCase kMalformed[] = {
     {"--checkpoint-retain=0", "bad --checkpoint-retain"},
     {"--log-level=loud", "bad --log-level"},
     {"--watchdog=1", "unknown flag"},
+    // The registry's one export is the telemetry snapshot.json.
+    {"--metrics-out=m.json", "unknown flag"},
 };
 
 // Cross-flag rules. A probe's only record is its journal event, which

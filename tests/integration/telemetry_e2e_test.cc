@@ -1,9 +1,10 @@
 // End-to-end telemetry pipeline test: drives the real `fairgen` CLI with
-// `--telemetry-dir`, then validates the run directory it leaves behind
-// with the real `validate_telemetry` binary against the checked-in golden
-// schemas, renders it with the real `fairgen_report` binary, and finally
-// kills a child CLI mid-run with SIGTERM to prove the crash-flush path
-// leaves a finalized manifest and a usable snapshot on disk.
+// `--telemetry-dir` and `--trace-out`, then validates the run directory it
+// leaves behind with the real `validate_telemetry` binary against the
+// checked-in golden schemas (and the trace against the Chrome-trace
+// fragments), renders it with the real `fairgen_report` binary, and
+// finally kills a child CLI mid-run with SIGTERM to prove the crash-flush
+// path leaves a finalized manifest and a usable snapshot on disk.
 //
 // Binary and schema paths are injected by tests/CMakeLists.txt as compile
 // definitions (FAIRGEN_CLI_PATH, FAIRGEN_REPORT_PATH,
@@ -29,6 +30,7 @@
 
 #include "common/events.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "common/telemetry.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
@@ -104,12 +106,15 @@ TEST_F(TelemetryE2eTest, CliRunYieldsSchemaValidArtifactsAndReport) {
   WriteInputs(edges, labels, protected_path, 60, 280);
   std::string out_path = TempPath("generated.txt");
   std::string telemetry_dir = TempPath("runs");
+  // No special suffix: --trace-out writes Chrome trace-event JSON to any
+  // path.
+  std::string trace_path = TempPath("t.json");
 
   std::string command = std::string(FAIRGEN_CLI_PATH) + " generate " +
                         edges + " --model=fairgen --labels=" + labels +
                         " --protected=" + protected_path + " --out=" +
                         out_path + " --seed=7 --walks=60 --cycles=2" +
-                        " --epochs=1 --trace-out=" + TempPath("t.json") +
+                        " --epochs=1 --trace-out=" + trace_path +
                         " --telemetry-dir=" + telemetry_dir +
                         " --telemetry-interval-ms=25 --profile-hz=997" +
                         " > /dev/null 2>&1";
@@ -119,15 +124,22 @@ TEST_F(TelemetryE2eTest, CliRunYieldsSchemaValidArtifactsAndReport) {
   ASSERT_EQ(runs.size(), 1u);
   const std::string& run = runs[0];
 
+  // The run dir holds one home per signal: the manifest, the snapshot,
+  // the event journal and the profile, and no second registry export.
+  for (const auto& entry : std::filesystem::directory_iterator(run)) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_TRUE(name == "run.json" || name == "snapshot.json" ||
+                name == "events.jsonl" || name == "profile.folded" ||
+                name == "profile_top.json")
+        << "unexpected run-dir file " << name;
+  }
+
   // Every artifact validates against its golden schema...
   EXPECT_EQ(RunValidator("manifest", run + "/run.json",
                          FAIRGEN_MANIFEST_SCHEMA_PATH),
             0);
   EXPECT_EQ(RunValidator("snapshot", run + "/snapshot.json",
                          FAIRGEN_SNAPSHOT_SCHEMA_PATH),
-            0);
-  EXPECT_EQ(RunValidator("prometheus", run + "/metrics.prom",
-                         FAIRGEN_PROM_SCHEMA_PATH),
             0);
   // The profiled run leaves a structurally valid collapsed-stack profile
   // in the run dir (training burns seconds of CPU at 997 Hz, so samples
@@ -145,6 +157,29 @@ TEST_F(TelemetryE2eTest, CliRunYieldsSchemaValidArtifactsAndReport) {
   }
   EXPECT_EQ(RunValidator("manifest", bogus, FAIRGEN_MANIFEST_SCHEMA_PATH),
             1);
+
+  // The trace parses, carries the fit as a complete event, and holds
+  // every golden Chrome-trace fragment.
+  const std::string trace = ReadFileOrDie(trace_path);
+  auto trace_doc = json::Parse(trace);
+  ASSERT_TRUE(trace_doc.ok()) << trace_doc.status().ToString();
+  const json::Value* trace_events = trace_doc->Find("traceEvents");
+  ASSERT_NE(trace_events, nullptr);
+  ASSERT_TRUE(trace_events->is_array());
+  bool saw_fit = false;
+  for (const json::Value& event : trace_events->AsArray()) {
+    saw_fit = saw_fit || (event.GetString("ph") == "X" &&
+                          event.GetString("name") == "trainer.fit");
+  }
+  EXPECT_TRUE(saw_fit) << "no trainer.fit complete event in " << trace_path;
+  const std::string fragments =
+      ReadFileOrDie(FAIRGEN_CHROME_TRACE_SCHEMA_PATH);
+  for (const std::string& raw_line : StrSplit(fragments, '\n')) {
+    std::string_view line = StrTrim(raw_line);
+    if (line.empty() || line[0] == '#') continue;
+    EXPECT_NE(trace.find(line), std::string::npos)
+        << "trace is missing golden fragment: " << line;
+  }
 
   // The finished manifest records a clean exit.
   auto manifest = json::ParseFile(run + "/run.json");
@@ -173,35 +208,10 @@ TEST_F(TelemetryE2eTest, CliRunYieldsSchemaValidArtifactsAndReport) {
   EXPECT_EQ(html.find("https://"), std::string::npos);
 }
 
-// The Prometheus text format allows one `# TYPE` line per family; the
-// validator must fail an exposition that declares one twice, even when
-// every schema line is present.
-TEST_F(TelemetryE2eTest, ValidatorRejectsDuplicateFamilyDeclaration) {
-  std::string schema = TempPath("dup_schema.txt");
-  {
-    std::ofstream out(schema);
-    out << "# TYPE fairgen_nn_bytes_live gauge\nfairgen_nn_bytes_live\n";
-  }
-  std::string once = TempPath("once.prom");
-  {
-    std::ofstream out(once);
-    out << "# TYPE fairgen_nn_bytes_live gauge\nfairgen_nn_bytes_live 5\n";
-  }
-  EXPECT_EQ(RunValidator("prometheus", once, schema), 0);
-  std::string twice = TempPath("twice.prom");
-  {
-    std::ofstream out(twice);
-    out << "# TYPE fairgen_nn_bytes_live gauge\nfairgen_nn_bytes_live 5\n"
-        << "# TYPE fairgen_other counter\nfairgen_other 1\n"
-        << "# TYPE fairgen_nn_bytes_live gauge\nfairgen_nn_bytes_live 4\n";
-  }
-  EXPECT_EQ(RunValidator("prometheus", twice, schema), 1);
-}
-
 // A probed, watched run: each probe and stage reading is recorded once,
-// as a journal event with its fields; metrics.prom declares every family
-// once; and fairgen_report draws R with R+ and the stage memory from
-// those events.
+// as a journal event with its fields, and not again in the snapshot's
+// registry export; and fairgen_report draws R with R+ and the stage
+// memory from those events.
 TEST_F(TelemetryE2eTest, ProbedRunReportsFairnessFromJournal) {
   std::string edges = TempPath("probe_edges.txt");
   std::string labels = TempPath("probe_labels.txt");
@@ -221,15 +231,12 @@ TEST_F(TelemetryE2eTest, ProbedRunReportsFairnessFromJournal) {
   ASSERT_EQ(runs.size(), 1u);
   const std::string& run = runs[0];
 
-  EXPECT_EQ(RunValidator("prometheus", run + "/metrics.prom",
-                         FAIRGEN_PROM_SCHEMA_PATH),
-            0);
   EXPECT_EQ(RunValidator("snapshot", run + "/snapshot.json",
                          FAIRGEN_SNAPSHOT_SCHEMA_PATH),
             0);
-  const std::string prom = ReadFileOrDie(run + "/metrics.prom");
-  EXPECT_EQ(prom.find("fairgen_probe_"), std::string::npos);
-  EXPECT_EQ(prom.find("fairgen_mem_"), std::string::npos);
+  const std::string snapshot = ReadFileOrDie(run + "/snapshot.json");
+  EXPECT_EQ(snapshot.find("\"probe."), std::string::npos);
+  EXPECT_EQ(snapshot.find("\"mem."), std::string::npos);
 
   auto journal = events::ReadJournalFile(run + "/events.jsonl");
   ASSERT_TRUE(journal.ok()) << journal.status().ToString();
@@ -333,7 +340,6 @@ TEST_F(TelemetryE2eTest, SigtermMidRunLeavesFinalizedCrashRecord) {
   // The crash record must exist regardless of how the race resolved.
   EXPECT_TRUE(FileExists(run_dir + "/run.json"));
   EXPECT_TRUE(FileExists(run_dir + "/snapshot.json"));
-  EXPECT_TRUE(FileExists(run_dir + "/metrics.prom"));
 
   if (WIFSIGNALED(wait_status)) {
     // The flush handler re-raises with the default disposition, so the

@@ -205,9 +205,9 @@ TEST_F(WatchdogE2eTest, NanInjectionDegradesRunButNotOutput) {
   }
   EXPECT_TRUE(found) << "no loss_non_finite alert in " << run;
 
-  // The journal is the alert's only record: no Prometheus family
-  // repeats it.
-  EXPECT_EQ(ReadFileOrDie(run + "/metrics.prom").find("alerts"),
+  // The journal is the alert's only record: the snapshot's registry
+  // export does not repeat it.
+  EXPECT_EQ(ReadFileOrDie(run + "/snapshot.json").find("alerts"),
             std::string::npos);
 
   // Warn alerts without a fatal: the doctor calls it degraded (exit 1)

@@ -1,12 +1,11 @@
 // validate_telemetry — checks telemetry artifacts against golden schemas.
 //
 // Usage:
-//   validate_telemetry --kind=manifest|snapshot|prometheus|folded|events
+//   validate_telemetry --kind=manifest|snapshot|folded|events
 //                      --file=<artifact> --schema=<golden>
 //
 // Schema files live in tests/golden/ and hold one requirement per line;
-// blank lines and lines starting with '#' are ignored, except `# TYPE `
-// lines, which are Prometheus requirements.
+// blank lines and lines starting with '#' are ignored.
 //
 //   manifest / snapshot  each line is a dotted key path (for example
 //                        `host.hostname`) that must resolve inside the JSON
@@ -14,11 +13,6 @@
 //                        dots (`metrics.series.trainer.nll`), a path segment
 //                        greedily matches the longest key that is a prefix
 //                        of the remaining path.
-//   prometheus           each line must be a prefix of at least one line of
-//                        the exposition file — used to pin `# TYPE` families
-//                        and sample names without pinning values. The file
-//                        must also declare each family (`# TYPE <name>`)
-//                        at most once, as the text format requires.
 //   events               structural check of a structured event journal
 //                        (events.jsonl): every line must parse as a
 //                        journal record (`events::ParseJsonLine`, the
@@ -41,8 +35,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,10 +54,7 @@ bool LoadSchemaLines(const std::string& path, std::vector<std::string>* out) {
     while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
       line.pop_back();
     }
-    if (line.empty() ||
-        (line[0] == '#' && !StrStartsWith(line, "# TYPE "))) {
-      continue;
-    }
+    if (line.empty() || line[0] == '#') continue;
     out->push_back(line);
   }
   return true;
@@ -109,47 +98,6 @@ int ValidateJson(const std::string& file,
     }
   }
   return missing == 0 ? 0 : 1;
-}
-
-int ValidatePrometheus(const std::string& file,
-                       const std::vector<std::string>& schema) {
-  std::ifstream in(file);
-  if (!in.is_open()) {
-    std::fprintf(stderr, "cannot read %s\n", file.c_str());
-    return 2;
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  int bad = 0;
-  // Family name -> line number of its first `# TYPE` declaration.
-  std::map<std::string, size_t> declared;
-  for (size_t i = 0; i < lines.size(); ++i) {
-    if (!StrStartsWith(lines[i], "# TYPE ")) continue;
-    const std::string family =
-        lines[i].substr(7, lines[i].find(' ', 7) - 7);
-    const auto [it, added] = declared.emplace(family, i + 1);
-    if (!added) {
-      std::fprintf(stderr, "DUPLICATE family %s: # TYPE at lines %zu and %zu\n",
-                   family.c_str(), it->second, i + 1);
-      ++bad;
-    }
-  }
-  for (const std::string& want : schema) {
-    bool found = false;
-    for (const std::string& have : lines) {
-      if (StrStartsWith(have, want)) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "MISSING exposition line prefix: %s\n",
-                   want.c_str());
-      ++bad;
-    }
-  }
-  return bad == 0 ? 0 : 1;
 }
 
 // A collapsed-stack line: `stack<space>count`, count a positive integer.
@@ -267,8 +215,8 @@ int Main(int argc, char** argv) {
       schema_path = std::string(arg.substr(9));
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: validate_telemetry --kind=manifest|snapshot|prometheus|"
-          "folded|events --file=<artifact> --schema=<golden>\n");
+          "usage: validate_telemetry --kind=manifest|snapshot|folded|"
+          "events --file=<artifact> --schema=<golden>\n");
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag: %s (try --help)\n", argv[i]);
@@ -278,8 +226,7 @@ int Main(int argc, char** argv) {
   if (kind.empty() || file.empty() || schema_path.empty()) {
     std::fprintf(stderr,
                  "usage: validate_telemetry --kind=manifest|snapshot|"
-                 "prometheus|folded|events --file=<artifact> "
-                 "--schema=<golden>\n");
+                 "folded|events --file=<artifact> --schema=<golden>\n");
     return 2;
   }
   std::vector<std::string> schema;
@@ -295,8 +242,6 @@ int Main(int argc, char** argv) {
   int rc;
   if (kind == "manifest" || kind == "snapshot") {
     rc = ValidateJson(file, schema);
-  } else if (kind == "prometheus") {
-    rc = ValidatePrometheus(file, schema);
   } else if (kind == "folded") {
     rc = ValidateFolded(file, schema);
   } else if (kind == "events") {
