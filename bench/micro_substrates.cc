@@ -4,7 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/assembler.h"
+#include "generators/assembler.h"
 #include "generators/er.h"
 #include "graph/transition.h"
 #include "graph/triangles.h"

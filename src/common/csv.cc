@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iterator>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -63,53 +62,6 @@ std::string Table::ToAscii() const {
   out.push_back('\n');
   for (const auto& row : rows_) out += render_row(row);
   return out;
-}
-
-Result<Table> ParseCsv(std::string_view text) {
-  std::vector<std::vector<std::string>> parsed;
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    std::string_view line = eol == std::string_view::npos
-                                ? text.substr(pos)
-                                : text.substr(pos, eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    std::string_view trimmed = StrTrim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::vector<std::string> fields = StrSplit(line, ',');
-    if (!parsed.empty() && fields.size() != parsed.front().size()) {
-      return Status::InvalidArgument(
-          "CSV row arity " + std::to_string(fields.size()) +
-          " differs from header arity " +
-          std::to_string(parsed.front().size()) + " at line " +
-          std::to_string(line_no));
-    }
-    parsed.push_back(std::move(fields));
-  }
-  if (parsed.empty()) {
-    return Status::InvalidArgument("CSV document has no header row");
-  }
-  Table table(std::move(parsed.front()));
-  for (size_t i = 1; i < parsed.size(); ++i) {
-    table.AddRow(std::move(parsed[i]));
-  }
-  return table;
-}
-
-Result<Table> ReadCsv(const std::string& path) {
-  std::ifstream file(path);
-  if (!file.is_open()) {
-    return Status::IOError("cannot open CSV: " + path);
-  }
-  std::string text((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  if (file.bad()) {
-    return Status::IOError("read failed: " + path);
-  }
-  return ParseCsv(text);
 }
 
 Status Table::WriteCsv(const std::string& path) const {

@@ -2,10 +2,8 @@
 #define FAIRGEN_COMMON_CSV_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.h"
 #include "common/status.h"
 
 namespace fairgen {
@@ -46,19 +44,6 @@ class Table {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// \brief Parses CSV text (the dialect `Table::ToCsv` emits:
-/// comma-separated, no quoting) back into a `Table`.
-///
-/// Tolerated input variations: CRLF and LF line endings, a missing final
-/// newline, blank lines, and `#` comment lines. Malformed input — empty
-/// document, or a row whose arity differs from the header's — returns
-/// `InvalidArgument` with the offending line number instead of aborting.
-Result<Table> ParseCsv(std::string_view text);
-
-/// \brief Reads and parses a CSV file via `ParseCsv`; `IOError` if the
-/// file cannot be opened.
-Result<Table> ReadCsv(const std::string& path);
 
 }  // namespace fairgen
 

@@ -162,8 +162,8 @@ class Series {
 /// (field-name, value) pairs — a counter/gauge exports the single field
 /// "value"; histograms export "le_<bound>"/"sum"/"count" plus the
 /// interpolated "p50"/"p95"/"p99" quantile estimates; series export
-/// one field per step. The flattening is what makes the JSON and CSV
-/// exports carry identical information (see metrics_test round-trip).
+/// one field per step. `ToJson` renders the snapshot.json `metrics`
+/// object from these.
 struct MetricSnapshot {
   std::string name;
   std::string type;  ///< "counter" | "gauge" | "histogram" | "series"

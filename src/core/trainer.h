@@ -6,11 +6,11 @@
 #include <string>
 #include <vector>
 
-#include "core/assembler.h"
 #include "core/fairgen_config.h"
 #include "core/fairgen_model.h"
 #include "core/self_paced.h"
 #include "core/walk_dataset.h"
+#include "generators/assembler.h"
 #include "generators/generator.h"
 #include "graph/transition.h"
 #include "nn/optimizer.h"

@@ -1,4 +1,4 @@
-#include "core/assembler.h"
+#include "generators/assembler.h"
 
 #include <algorithm>
 #include <unordered_set>

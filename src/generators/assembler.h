@@ -1,5 +1,5 @@
-#ifndef FAIRGEN_CORE_ASSEMBLER_H_
-#define FAIRGEN_CORE_ASSEMBLER_H_
+#ifndef FAIRGEN_GENERATORS_ASSEMBLER_H_
+#define FAIRGEN_GENERATORS_ASSEMBLER_H_
 
 #include <vector>
 
@@ -40,6 +40,11 @@ struct AssemblyReport {
 /// (c) fill the remaining budget with the globally highest-scoring edges.
 /// Nodes with no scored candidate receive an edge to a uniformly random
 /// partner (reported as `fallback_edges`).
+///
+/// Every scoring model releases through here. FairGen applies the
+/// criteria; the baselines (NetGAN, TagGen, GAE, VGAE) pass both off,
+/// which keeps the m highest-scoring edges, ties broken by ascending
+/// edge key, and draws nothing from `rng`.
 Result<Graph> AssembleFairGraph(const EdgeScoreAccumulator& scores,
                                 const Graph& original,
                                 const std::vector<NodeId>& protected_set,
@@ -48,4 +53,4 @@ Result<Graph> AssembleFairGraph(const EdgeScoreAccumulator& scores,
 
 }  // namespace fairgen
 
-#endif  // FAIRGEN_CORE_ASSEMBLER_H_
+#endif  // FAIRGEN_GENERATORS_ASSEMBLER_H_

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "generators/assembler.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
@@ -148,13 +149,14 @@ Status GaeGenerator::Fit(const Graph& graph, Rng& rng) {
   return Status::OK();
 }
 
-namespace {
-
-// Scores a deduplicated random candidate pool with the decoder.
-EdgeScoreAccumulator ScoreCandidatePool(const nn::Tensor& embeddings,
-                                        uint32_t n, uint64_t pool_target,
-                                        Rng& rng) {
-  const size_t d = embeddings.cols();
+EdgeScoreAccumulator GaeGenerator::ScoreCandidatePool(Rng& rng) const {
+  const uint32_t n = fitted_graph_.num_nodes();
+  const uint64_t max_pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
+  const uint64_t pool_target = std::min(
+      static_cast<uint64_t>(config_.candidate_multiplier *
+                            static_cast<double>(fitted_graph_.num_edges())),
+      max_pairs);
+  const size_t d = embeddings_.cols();
   EdgeScoreAccumulator acc(n);
   std::unordered_set<uint64_t> seen;
   seen.reserve(pool_target * 2);
@@ -168,8 +170,8 @@ EdgeScoreAccumulator ScoreCandidatePool(const nn::Tensor& embeddings,
     if (u > v) std::swap(u, v);
     uint64_t key = static_cast<uint64_t>(u) * n + v;
     if (!seen.insert(key).second) continue;
-    const float* zu = embeddings.row(u);
-    const float* zv = embeddings.row(v);
+    const float* zu = embeddings_.row(u);
+    const float* zv = embeddings_.row(v);
     double dot = 0.0;
     for (size_t k = 0; k < d; ++k) dot += zu[k] * zv[k];
     // Shift so that scores are positive (accumulator semantics); the
@@ -180,22 +182,12 @@ EdgeScoreAccumulator ScoreCandidatePool(const nn::Tensor& embeddings,
   return acc;
 }
 
-}  // namespace
-
 Result<Graph> GaeGenerator::Generate(Rng& rng) {
   if (!fitted_) {
     return Status::FailedPrecondition("Fit must be called before Generate");
   }
-  const uint32_t n = fitted_graph_.num_nodes();
-  const uint64_t m = fitted_graph_.num_edges();
-
-  // Score a random candidate pool (deduplicated) by decoder logit.
-  uint64_t pool_target = static_cast<uint64_t>(
-      config_.candidate_multiplier * static_cast<double>(m));
-  uint64_t max_pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
-  pool_target = std::min(pool_target, max_pairs);
-  return ScoreCandidatePool(embeddings_, n, pool_target, rng)
-      .BuildTopEdges(m);
+  return AssembleFairGraph(ScoreCandidatePool(rng), fitted_graph_, {},
+                           AssemblerCriteria{false, false}, rng);
 }
 
 Result<std::vector<std::pair<Edge, double>>> GaeGenerator::ScoreEdges(
@@ -204,13 +196,7 @@ Result<std::vector<std::pair<Edge, double>>> GaeGenerator::ScoreEdges(
     return Status::FailedPrecondition(
         "Fit must be called before ScoreEdges");
   }
-  const uint32_t n = fitted_graph_.num_nodes();
-  uint64_t pool_target = static_cast<uint64_t>(
-      config_.candidate_multiplier *
-      static_cast<double>(fitted_graph_.num_edges()));
-  uint64_t max_pairs = static_cast<uint64_t>(n) * (n - 1) / 2;
-  pool_target = std::min(pool_target, max_pairs);
-  return ScoreCandidatePool(embeddings_, n, pool_target, rng).ScoredEdges();
+  return ScoreCandidatePool(rng).ScoredEdges();
 }
 
 }  // namespace fairgen

@@ -34,7 +34,8 @@ struct GaeConfig {
 ///
 /// Generation scores a random candidate-pair pool (plus the training
 /// positives' two-hop neighborhood would be O(m·d); the pool keeps it
-/// O(m)) with σ(z_u · z_v) and keeps the m highest-scoring pairs.
+/// O(m)) with σ(z_u · z_v) and releases the m highest-scoring pairs
+/// (`AssembleFairGraph` with both criteria off).
 class GaeGenerator : public GraphGenerator {
  public:
   explicit GaeGenerator(GaeConfig config = {});
@@ -55,6 +56,11 @@ class GaeGenerator : public GraphGenerator {
   /// output is [n, 2·latent]: posterior means in the first block, log
   /// variances in the second.
   nn::Var Encode() const;
+
+  /// Scores a deduplicated random pool of candidate_multiplier · m pairs
+  /// (at most all n(n−1)/2) with the decoder; `Generate` thresholds it,
+  /// `ScoreEdges` returns it.
+  EdgeScoreAccumulator ScoreCandidatePool(Rng& rng) const;
 
   GaeConfig config_;
   Graph fitted_graph_{Graph::Empty(0)};

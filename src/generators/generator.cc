@@ -10,7 +10,6 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "graph/builder.h"
 
 namespace fairgen {
 
@@ -135,31 +134,6 @@ std::vector<std::pair<Edge, double>> EdgeScoreAccumulator::ScoredEdges()
     out.push_back({{u, v}, score});
   }
   return out;
-}
-
-Result<Graph> EdgeScoreAccumulator::BuildTopEdges(
-    uint64_t target_edges) const {
-  std::vector<std::pair<Edge, double>> edges = ScoredEdges();
-  std::sort(edges.begin(), edges.end(),
-            [this](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              uint64_t ka = static_cast<uint64_t>(a.first.u) * num_nodes_ +
-                            a.first.v;
-              uint64_t kb = static_cast<uint64_t>(b.first.u) * num_nodes_ +
-                            b.first.v;
-              return ka < kb;
-            });
-  GraphBuilder builder(num_nodes_);
-  uint64_t taken = 0;
-  for (const auto& [edge, score] : edges) {
-    if (taken >= target_edges) break;
-    FAIRGEN_RETURN_NOT_OK(builder.AddEdge(edge.u, edge.v));
-    ++taken;
-  }
-  metrics::MetricsRegistry::Global()
-      .GetCounter("generate.edges_emitted")
-      .Increment(taken);
-  return builder.Build();
 }
 
 namespace {

@@ -43,11 +43,8 @@ class GraphGenerator {
 };
 
 /// \brief Accumulates edge-occurrence counts from generated random walks
-/// into the score matrix B of Section II-D, then thresholds into a graph.
-///
-/// The plain `BuildTopEdges` keeps the m highest-scoring edges — the
-/// assembly used by the unsupervised walk-based baselines (NetGAN,
-/// TagGen). The fairness-aware criteria live in core/assembler.h.
+/// into the score matrix B of Section II-D. `AssembleFairGraph`
+/// (generators/assembler.h) thresholds it into a graph.
 ///
 /// Storage is a flat (key, score) vector, key = u·n + v with u < v.
 /// `AddEdge` appends one observation; `Compact` stable-sorts by key and
@@ -89,11 +86,6 @@ class EdgeScoreAccumulator {
   /// Scored edges as (edge, score) pairs, u < v, in ascending key order
   /// (u, then v).
   std::vector<std::pair<Edge, double>> ScoredEdges() const;
-
-  /// Builds a graph from the `target_edges` highest-scoring edges (fewer
-  /// if not enough edges were observed). Ties are broken deterministically
-  /// by edge id.
-  Result<Graph> BuildTopEdges(uint64_t target_edges) const;
 
   uint32_t num_nodes() const { return num_nodes_; }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "generators/assembler.h"
 #include "generators/generator.h"
 #include "nn/optimizer.h"
 #include "rng/sampling.h"
@@ -85,7 +86,8 @@ class WalkLMGenerator : public GraphGenerator {
       return Status::FailedPrecondition(
           "Fit must be called before Generate");
     }
-    return AccumulateWalks(rng).BuildTopEdges(fitted_graph_.num_edges());
+    return AssembleFairGraph(AccumulateWalks(rng), fitted_graph_, {},
+                             AssemblerCriteria{false, false}, rng);
   }
 
   Result<std::vector<std::pair<Edge, double>>> ScoreEdges(

@@ -8,6 +8,7 @@
 // FAIRGEN_BENCH_BINARY_PATH compile definition.
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -23,10 +24,11 @@ namespace {
 // std::system returns a wait status; the bench's exit code lives in
 // WEXITSTATUS. A bad flag exits before any dataset is built, so nothing
 // is written to the working directory. With `stderr_out`, the bench's
-// stderr is captured into it.
+// stderr is captured into it, through a file named by pid: ctest runs
+// each test in its own process, and two of them must not share it.
 int RunBench(const std::string& flags, std::string* stderr_out = nullptr) {
-  const std::string err_path =
-      testing::TempDir() + "/bench_flags_stderr.txt";
+  const std::string err_path = testing::TempDir() + "/bench_flags_stderr_" +
+                               std::to_string(::getpid()) + ".txt";
   const std::string command =
       std::string(FAIRGEN_BENCH_BINARY_PATH) + " " + flags +
       " > /dev/null 2> " + (stderr_out != nullptr ? err_path : "/dev/null");

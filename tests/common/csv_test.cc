@@ -72,75 +72,5 @@ TEST(TableDeathTest, MismatchedRowAborts) {
   EXPECT_DEATH(t.AddRow({"only-one"}), "arity");
 }
 
-TEST(ParseCsvTest, RoundTripsTableOutput) {
-  Table t({"model", "score"});
-  t.AddRow({"ER", "0.5"});
-  t.AddRow({"FairGen", "0.1"});
-  auto parsed = ParseCsv(t.ToCsv());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->header(), t.header());
-  EXPECT_EQ(parsed->rows(), t.rows());
-}
-
-TEST(ParseCsvTest, ToleratesMissingFinalNewline) {
-  auto parsed = ParseCsv("a,b\n1,2");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->num_rows(), 1u);
-  EXPECT_EQ(parsed->rows()[0], (std::vector<std::string>{"1", "2"}));
-}
-
-TEST(ParseCsvTest, ToleratesCrlfAndBlankAndCommentLines) {
-  auto parsed = ParseCsv("a,b\r\n# comment\r\n\r\n1,2\r\n\n3,4\n");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->header(), (std::vector<std::string>{"a", "b"}));
-  ASSERT_EQ(parsed->num_rows(), 2u);
-  EXPECT_EQ(parsed->rows()[0], (std::vector<std::string>{"1", "2"}));
-  EXPECT_EQ(parsed->rows()[1], (std::vector<std::string>{"3", "4"}));
-}
-
-TEST(ParseCsvTest, RaggedRowFailsWithLineNumber) {
-  auto parsed = ParseCsv("a,b\n1,2\n3\n");
-  EXPECT_FALSE(parsed.ok());
-  EXPECT_TRUE(parsed.status().IsInvalidArgument());
-  EXPECT_NE(parsed.status().message().find("line 3"), std::string::npos)
-      << parsed.status().ToString();
-}
-
-TEST(ParseCsvTest, TruncatedLastRowFails) {
-  // The writer died mid-row: the final line has fewer fields.
-  auto parsed = ParseCsv("metric,type,field,value\nx,counter,value");
-  EXPECT_FALSE(parsed.ok());
-  EXPECT_TRUE(parsed.status().IsInvalidArgument());
-}
-
-TEST(ParseCsvTest, EmptyDocumentFails) {
-  EXPECT_FALSE(ParseCsv("").ok());
-  EXPECT_FALSE(ParseCsv("\n\n# only comments\n").ok());
-}
-
-TEST(ParseCsvTest, HeaderOnlyIsValid) {
-  auto parsed = ParseCsv("a,b,c\n");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->num_cols(), 3u);
-  EXPECT_EQ(parsed->num_rows(), 0u);
-}
-
-TEST(ReadCsvTest, ReadsFileWrittenByTable) {
-  Table t({"k", "v"});
-  t.AddRow({"x", "1"});
-  std::string path = testing::TempDir() + "/fairgen_readcsv_test.csv";
-  ASSERT_TRUE(t.WriteCsv(path).ok());
-  auto parsed = ReadCsv(path);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->rows(), t.rows());
-  std::remove(path.c_str());
-}
-
-TEST(ReadCsvTest, MissingFileFails) {
-  auto parsed = ReadCsv("/no/such/fairgen_file.csv");
-  EXPECT_FALSE(parsed.ok());
-  EXPECT_TRUE(parsed.status().IsIOError());
-}
-
 }  // namespace
 }  // namespace fairgen

@@ -10,6 +10,7 @@
 #include "generators/netgan.h"
 #include "graph/subgraph.h"
 #include "stats/discrepancy.h"
+#include "testing/top_m_oracle.h"
 
 namespace fairgen {
 namespace {
@@ -106,13 +107,10 @@ TEST(GenerateWithCriteriaTest, NoneMatchesTopMThresholding) {
   ASSERT_TRUE(via_criteria.ok());
   auto scored = f.trainer.ScoreEdges(rng_b);
   ASSERT_TRUE(scored.ok());
-  EdgeScoreAccumulator acc(f.data.graph.num_nodes());
-  for (const auto& [edge, score] : *scored) {
-    acc.AddEdge(edge.u, edge.v, score);
-  }
-  auto top = acc.BuildTopEdges(f.data.graph.num_edges());
-  ASSERT_TRUE(top.ok());
-  EXPECT_EQ(via_criteria->ToEdgeList(), top->ToEdgeList());
+  EXPECT_EQ(via_criteria->ToEdgeList(),
+            TopMGraph(*scored, f.data.graph.num_nodes(),
+                      f.data.graph.num_edges())
+                .ToEdgeList());
 }
 
 TEST(GenerateWithCriteriaTest, VolumeCriterionImprovesProtectedVolume) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "generators/assembler.h"
 #include "rng/rng.h"
 
 namespace fairgen {
@@ -46,12 +47,23 @@ TEST(EdgeScoreAccumulatorTest, SelfEdgeIgnored) {
   EXPECT_EQ(acc.num_scored_edges(), 0u);
 }
 
-TEST(EdgeScoreAccumulatorTest, BuildTopEdgesKeepsHighestScores) {
+// Thresholds `acc` the way the baselines release: the assembler with
+// both criteria off, whose edge budget is `original`'s edge count.
+Result<Graph> ReleaseTopM(const EdgeScoreAccumulator& acc,
+                          const std::vector<Edge>& original_edges) {
+  auto original = Graph::FromEdges(acc.num_nodes(), original_edges);
+  if (!original.ok()) return original.status();
+  Rng rng(1);
+  return AssembleFairGraph(acc, *original, {},
+                           AssemblerCriteria{false, false}, rng);
+}
+
+TEST(EdgeScoreAccumulatorTest, TopMKeepsHighestScores) {
   EdgeScoreAccumulator acc(5);
   acc.AddEdge(0, 1, 10.0);
   acc.AddEdge(1, 2, 5.0);
   acc.AddEdge(2, 3, 1.0);
-  auto g = acc.BuildTopEdges(2);
+  auto g = ReleaseTopM(acc, {{0, 4}, {3, 4}});
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_edges(), 2u);
   EXPECT_TRUE(g->HasEdge(0, 1));
@@ -62,7 +74,8 @@ TEST(EdgeScoreAccumulatorTest, BuildTopEdgesKeepsHighestScores) {
 TEST(EdgeScoreAccumulatorTest, BuildWithFewerCandidatesThanTarget) {
   EdgeScoreAccumulator acc(4);
   acc.AddEdge(0, 1);
-  auto g = acc.BuildTopEdges(10);
+  // A budget of 6 edges (K4) against one candidate.
+  auto g = ReleaseTopM(acc, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g->num_edges(), 1u);
 }
@@ -75,8 +88,8 @@ TEST(EdgeScoreAccumulatorTest, TieBreakIsDeterministic) {
     acc->AddEdge(0, 1, 1.0);
     acc->AddEdge(1, 2, 1.0);
   }
-  auto ga = a.BuildTopEdges(2);
-  auto gb = b.BuildTopEdges(2);
+  auto ga = ReleaseTopM(a, {{0, 4}, {2, 3}});
+  auto gb = ReleaseTopM(b, {{0, 4}, {2, 3}});
   ASSERT_TRUE(ga.ok());
   ASSERT_TRUE(gb.ok());
   EXPECT_EQ(ga->ToEdgeList(), gb->ToEdgeList());

@@ -1,9 +1,18 @@
-#include "core/assembler.h"
+#include "generators/assembler.h"
+
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "generators/gae.h"
+#include "generators/netgan.h"
+#include "generators/taggen.h"
 #include "graph/subgraph.h"
+#include "testing/top_m_oracle.h"
 #include "walk/random_walk.h"
 
 namespace fairgen {
@@ -91,9 +100,10 @@ TEST(AssemblerTest, CriteriaCanBeDisabled) {
   EXPECT_EQ(report.isolated_nodes_fixed, 0u);
   EXPECT_EQ(report.protected_volume_target, 0u);
   // Without criteria this must match plain top-m thresholding.
-  auto top = f.acc.BuildTopEdges(f.data.graph.num_edges());
-  ASSERT_TRUE(top.ok());
-  EXPECT_EQ(g->ToEdgeList(), top->ToEdgeList());
+  EXPECT_EQ(g->ToEdgeList(),
+            TopMGraph(f.acc.ScoredEdges(), f.data.graph.num_nodes(),
+                      f.data.graph.num_edges())
+                .ToEdgeList());
 }
 
 TEST(AssemblerTest, IsolatedInOriginalStaysIsolated) {
@@ -160,6 +170,102 @@ TEST(AssemblerTest, ProtectedInternalEdgesPreferred) {
   // Original induced subgraph has 3 edges (the triangle).
   EXPECT_GE(sub->graph.num_edges(), 2u);
 }
+
+// Every baseline releases the top m of its own edge scores: Generate and
+// ScoreEdges draw the same scores from the same seed, and the release
+// must equal plain top-m thresholding of them.
+struct BaselineCase {
+  std::string name;
+  std::function<std::unique_ptr<GraphGenerator>()> make;
+};
+
+void PrintTo(const BaselineCase& c, std::ostream* os) { *os << c.name; }
+
+WalkLMTrainConfig QuickWalkBudget() {
+  WalkLMTrainConfig cfg;
+  cfg.walk_length = 8;
+  cfg.num_walks = 60;
+  cfg.epochs = 1;
+  cfg.batch_size = 8;
+  cfg.gen_transition_multiplier = 3.0;
+  return cfg;
+}
+
+GaeConfig QuickGae(bool variational) {
+  GaeConfig cfg;
+  cfg.feature_dim = 12;
+  cfg.hidden_dim = 12;
+  cfg.latent_dim = 8;
+  cfg.epochs = 10;
+  cfg.edges_per_epoch = 128;
+  cfg.variational = variational;
+  return cfg;
+}
+
+class BaselineReleaseTest : public ::testing::TestWithParam<BaselineCase> {};
+
+TEST_P(BaselineReleaseTest, ReleaseIsTopMOfItsScores) {
+  SyntheticGraphConfig data_cfg;
+  data_cfg.num_nodes = 60;
+  data_cfg.num_edges = 300;
+  Rng data_rng(21);
+  auto data = GenerateSynthetic(data_cfg, data_rng);
+  ASSERT_TRUE(data.ok());
+  const Graph& graph = data->graph;
+
+  std::unique_ptr<GraphGenerator> gen = GetParam().make();
+  Rng fit_rng(22);
+  ASSERT_TRUE(gen->Fit(graph, fit_rng).ok());
+  for (uint64_t seed : {5u, 6u}) {
+    Rng gen_rng(seed);
+    Rng score_rng(seed);
+    auto released = gen->Generate(gen_rng);
+    auto scored = gen->ScoreEdges(score_rng);
+    ASSERT_TRUE(released.ok()) << released.status().ToString();
+    ASSERT_TRUE(scored.ok()) << scored.status().ToString();
+    // More candidates than the budget, so the threshold decides.
+    EXPECT_GT(scored->size(), graph.num_edges());
+    EXPECT_EQ(released->ToEdgeList(),
+              TopMGraph(*scored, graph.num_nodes(), graph.num_edges())
+                  .ToEdgeList())
+        << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Baselines, BaselineReleaseTest,
+    ::testing::Values(
+        BaselineCase{"TagGen",
+                     [] {
+                       TagGenConfig cfg;
+                       cfg.train = QuickWalkBudget();
+                       cfg.dim = 16;
+                       cfg.num_heads = 2;
+                       return std::unique_ptr<GraphGenerator>(
+                           new TagGenGenerator(cfg));
+                     }},
+        BaselineCase{"NetGAN",
+                     [] {
+                       NetGanConfig cfg;
+                       cfg.train = QuickWalkBudget();
+                       cfg.dim = 16;
+                       cfg.hidden_dim = 16;
+                       return std::unique_ptr<GraphGenerator>(
+                           new NetGanGenerator(cfg));
+                     }},
+        BaselineCase{"GAE",
+                     [] {
+                       return std::unique_ptr<GraphGenerator>(
+                           new GaeGenerator(QuickGae(false)));
+                     }},
+        BaselineCase{"VGAE",
+                     [] {
+                       return std::unique_ptr<GraphGenerator>(
+                           new GaeGenerator(QuickGae(true)));
+                     }}),
+    [](const ::testing::TestParamInfo<BaselineCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace fairgen

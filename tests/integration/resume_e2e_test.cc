@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -28,6 +27,7 @@
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
+#include "testing/cli_child.h"
 
 namespace fairgen {
 namespace {
@@ -106,22 +106,14 @@ class ResumeE2eTest : public testing::Test {
 
   // Forks the CLI, waits for a checkpoint of cycle `kill_cycle` or later
   // to appear under `ckpt_dir`, then SIGTERMs it. Returns the child's wait
-  // status.
+  // status. The child's stderr goes to `<ckpt_dir>.stderr`, which must
+  // hold no sanitizer report.
   int RunAndKill(const std::vector<std::string>& args,
                  const std::string& ckpt_dir, uint32_t kill_cycle = 1) {
-    std::vector<std::string> argv_strings = args;
-    pid_t pid = ::fork();
+    const std::string child_stderr = ckpt_dir + ".stderr";
+    const pid_t pid = SpawnCliChild(args, child_stderr);
     EXPECT_GE(pid, 0);
-    if (pid == 0) {
-      std::freopen("/dev/null", "w", stdout);
-      std::freopen("/dev/null", "w", stderr);
-      std::vector<char*> argv;
-      argv.reserve(argv_strings.size() + 1);
-      for (std::string& a : argv_strings) argv.push_back(a.data());
-      argv.push_back(nullptr);
-      ::execv(argv[0], argv.data());
-      ::_exit(127);
-    }
+    if (pid < 0) return -1;
     // Kill as soon as that checkpoint lands. If the child finishes first
     // the wait status shows a clean exit and the caller skips the resume
     // leg.
@@ -140,6 +132,7 @@ class ResumeE2eTest : public testing::Test {
       ::kill(pid, SIGTERM);
       EXPECT_EQ(::waitpid(pid, &wait_status, 0), pid);
     }
+    EXPECT_EQ(SanitizerReports(child_stderr), "");
     return wait_status;
   }
 

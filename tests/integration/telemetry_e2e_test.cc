@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -34,6 +33,7 @@
 #include "common/telemetry.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
+#include "testing/cli_child.h"
 
 namespace fairgen {
 namespace {
@@ -306,19 +306,9 @@ TEST_F(TelemetryE2eTest, SigtermMidRunLeavesFinalizedCrashRecord) {
       "--telemetry-interval-ms=20",
   };
 
-  pid_t pid = ::fork();
+  const std::string child_stderr = TempPath("crash_stderr.txt");
+  const pid_t pid = SpawnCliChild(args, child_stderr);
   ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: silence output, exec the CLI.
-    std::freopen("/dev/null", "w", stdout);
-    std::freopen("/dev/null", "w", stderr);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    ::_exit(127);
-  }
 
   // Wait for the publisher to come up (run dir + first snapshot), then a
   // little longer so the kill lands mid-training.
@@ -336,6 +326,7 @@ TEST_F(TelemetryE2eTest, SigtermMidRunLeavesFinalizedCrashRecord) {
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   int wait_status = 0;
   ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
+  EXPECT_EQ(SanitizerReports(child_stderr), "");
 
   // The crash record must exist regardless of how the race resolved.
   EXPECT_TRUE(FileExists(run_dir + "/run.json"));

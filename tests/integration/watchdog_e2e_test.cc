@@ -18,7 +18,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +32,7 @@
 #include "core/checkpoint.h"
 #include "data/synthetic.h"
 #include "graph/edgelist.h"
+#include "testing/cli_child.h"
 
 namespace fairgen {
 namespace {
@@ -252,20 +252,12 @@ TEST_F(WatchdogE2eTest, RssBreachWritesEmergencyCheckpointAndFailsRun) {
       "--telemetry-interval-ms=20",
   };
 
-  pid_t pid = ::fork();
+  const std::string child_stderr = TempPath("rss_stderr.txt");
+  const pid_t pid = SpawnCliChild(args, child_stderr);
   ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    std::freopen("/dev/null", "w", stdout);
-    std::freopen("/dev/null", "w", stderr);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (std::string& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    ::execv(argv[0], argv.data());
-    ::_exit(127);
-  }
   int wait_status = 0;
   ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
+  EXPECT_EQ(SanitizerReports(child_stderr), "");
 
   // The fatal action raises SIGTERM; the crash-flush handler re-raises
   // with the default disposition, so the child dies by the signal.
